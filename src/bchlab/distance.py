@@ -33,6 +33,8 @@ DUAL_ENUM_CAP_Q = 81
 EXHAUSTIVE_CAP = 1 << 26
 
 _BLOCK_ROWS = 1 << 19
+# reduced cells (prefixes x rows x columns) per column-search block: a few MB
+_COLLISION_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -64,57 +66,98 @@ class DistanceResult:
 # ---------------------------------------------------------------------------
 
 
-def _first_w2(ctx: FieldContext, mat: np.ndarray) -> tuple | None:
-    inv, mul, neg = ctx.inv_table, ctx.mul_table, ctx.neg_table
-    n = mat.shape[1]
-    canon = []
-    first_nz = []
-    for j in range(n):
-        col = mat[:, j]
-        nz = np.nonzero(col)[0]
-        t = int(nz[0])
-        first_nz.append(t)
-        canon.append(tuple(mul[inv[col[t]], col]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if canon[i] == canon[j]:
-                c = mul[mat[first_nz[i], j], inv[mat[first_nz[i], i]]]
-                return (i, j), (int(c), int(neg[1]))
-    return None
+def _gather(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``table[a, b]`` for a (q, q) table, as one take from the flat table."""
+    return table.ravel().take(a.astype(np.intp) * table.shape[1] + b)
 
 
-def _first_dependent(ctx: FieldContext, mat: np.ndarray, w: int) -> tuple | None:
+def _eliminate(ctx: FieldContext, imgs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Reduce every column of ``imgs[b]`` (B, rows, n) modulo ``vecs[b]`` (B, rows).
+
+    Subtracts the multiple of ``vecs[b]`` that clears its first nonzero row, so
+    that row reads 0 in every reduced column.  Applied to a sequence of
+    independent vectors this projects onto a fixed complement of their span:
+    two columns agree modulo the span iff their reductions are equal.
+    """
+    piv = (vecs != 0).argmax(axis=1)
+    lead = vecs[np.arange(len(vecs)), piv]
+    row = imgs[np.arange(len(imgs)), piv]
+    factor = _gather(ctx.mul_table, row, ctx.neg_table[ctx.inv_table[lead]][:, None])
+    shift = _gather(ctx.mul_table, factor[:, None, :], vecs[:, :, None])
+    return _gather(ctx.add_table, imgs, shift)
+
+
+def _first_collision(ctx: FieldContext, imgs: np.ndarray, lo: np.ndarray) -> tuple | None:
+    """First (b, k, l) with lo[b] < k < l and imgs[b][:, l] a nonzero multiple
+    of imgs[b][:, k]: the smallest b, then the smallest such k, then l.
+
+    Each column is scaled so its first nonzero entry is 1 and packed into
+    integer keys; a stable sort per batch row puts equal images next to each
+    other in ascending column order.
+    """
+    _, rows, n = imgs.shape
+    piv = (imgs != 0).argmax(axis=1)
+    lead = np.take_along_axis(imgs, piv[:, None, :], axis=1)
+    unit = _gather(ctx.mul_table, ctx.inv_table[lead], imgs).astype(np.int64)
+    # as many rows per 63-bit key word as fit; one word for 4 rows up to q = 2^15
+    bits = max(1, (ctx.q - 1).bit_length())
+    per_word = 63 // bits
+    keys = np.stack(
+        [
+            sum(unit[:, r] << (bits * (r - r0)) for r in range(r0, min(r0 + per_word, rows)))
+            for r0 in range(0, rows, per_word)
+        ]
+    )
+    order = np.lexsort(keys, axis=-1)
+    ranked = np.take_along_axis(keys, order[None], axis=-1)
+    same = (ranked[:, :, 1:] == ranked[:, :, :-1]).all(axis=0)
+    # equal images sit in ascending column order, so a valid k (> lo) is
+    # followed by its smallest partner l
+    cand = np.where(same & (order[:, :-1] > lo[:, None]), order[:, :-1], n)
+    hit = np.nonzero(cand.min(axis=1) < n)[0]
+    if not hit.size:
+        return None
+    b = int(hit[0])
+    pos = int(np.argmin(cand[b]))
+    return b, int(order[b, pos]), int(order[b, pos + 1])
+
+
+def _lex_first_dependent(ctx: FieldContext, mat: np.ndarray, w: int) -> tuple | None:
     """First (lex) w-subset of dependent columns, given that no smaller
-    dependent subset exists.  Returns (cols, coeffs) or None."""
-    n = mat.shape[1]
-    if w > n:
-        return None
+    dependent subset exists.  Returns (cols, coeffs) or None.
+
+    Every (w-2)-prefix P is independent, so {P, k, l} is dependent iff the
+    images of columns k and l modulo span(P) are projectively equal.  The
+    prefixes are walked in lex order: each head (the first w-3 prefix
+    columns) is eliminated once, then its successors j are eliminated in
+    blocks of at most ``_COLLISION_CELLS`` cells.  The first collision is the
+    lex-first dependent set; its relation comes from the kernel of the w
+    found columns, scaled so that the last coefficient is -1.
+    """
+    rows, n = mat.shape
     if w == 1:
-        for j in range(n):
-            if not mat[:, j].any():
-                return (j,), (1,)
-        return None
+        zero = np.nonzero(~mat.any(axis=0))[0]
+        return ((int(zero[0]),), (1,)) if zero.size else None
+
+    def relation(cols: tuple) -> tuple:
+        kern = gflin.kernel_basis(ctx, mat[:, cols])
+        return cols, tuple(int(c) for c in ctx.neg_table[kern[0]])
+
     if w == 2:
-        return _first_w2(ctx, mat)
-    m = w - 1
-    neg = ctx.neg_table
-    neg_one = int(neg[1])
-    for subset in itertools.combinations(range(n), m):
-        last = subset[-1]
-        if last == n - 1:
-            continue
-        aug = np.concatenate([mat[:, subset], mat[:, last + 1 :]], axis=1)
-        red, piv = gflin.rref(ctx, aug)
-        # the subset is independent, so its m columns hold the pivots
-        ok = (red[m:, m:] == 0).all(axis=0) if red.shape[0] > m else np.ones(
-            aug.shape[1] - m, dtype=bool
-        )
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            t = int(hits[0])
-            col = last + 1 + t
-            coeffs = [int(c) for c in red[:m, m + t]] + [neg_one]
-            return subset + (col,), tuple(coeffs)
+        found = _first_collision(ctx, mat[None], np.full(1, -1))
+        return relation(found[1:]) if found else None
+    per_block = max(1, _COLLISION_CELLS // (rows * n))
+    for head in itertools.combinations(range(n - 3), w - 3):
+        red = mat[None]
+        for c in head:
+            red = _eliminate(ctx, red, red[:, :, c])
+        for lo in range(head[-1] + 1 if head else 0, n - 2, per_block):
+            js = np.arange(lo, min(lo + per_block, n - 2))
+            imgs = np.broadcast_to(red, (len(js), rows, n))
+            found = _first_collision(ctx, _eliminate(ctx, imgs, red[0][:, js].T), js)
+            if found:
+                b, k, l = found
+                return relation(head + (int(js[b]), k, l))
     return None
 
 
@@ -139,7 +182,7 @@ def min_distance_by_columns(code: bch.BchCode, w_max: int = 5) -> DistanceResult
             kern = gflin.kernel_basis(ctx, mat[:, cols])
             coeffs = tuple(int(c) for c in kern[0])
             return DistanceResult(w, ColumnsWitness(cols, coeffs), "column-search")
-        found = _first_dependent(ctx, mat, w)
+        found = _lex_first_dependent(ctx, mat, w)
         if found:
             cols, coeffs = found
             return DistanceResult(

@@ -2,8 +2,9 @@
 
 Matrices are numpy arrays of compact subfield labels (0..q-1, as produced by
 ``FieldContext.to_compact``); arithmetic goes through the context's q x q
-add/mul tables.  Sizes here are tiny (at most a few hundred columns), so the
-row operations are plain loops with table gathers.
+add/mul tables.  These routines serve one-off questions per code (rank, a
+kernel basis, re-checking a witness), not inner loops, so the row operations
+are plain loops with table gathers.
 """
 
 from __future__ import annotations
@@ -68,18 +69,6 @@ def kernel_basis(ctx, mat: np.ndarray) -> np.ndarray:
     return basis
 
 
-def matmul(ctx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of compact-label matrices; used for verification, not speed."""
-    add, mul = ctx.add_table, ctx.mul_table
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(a.shape[1]):
-        col = a[:, k]
-        nz = np.nonzero(col)[0]
-        for i in nz:
-            out[i] = add[out[i], mul[col[i], b[k]]]
-    return out
-
-
 def combine_rows(ctx, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Linear combination sum_i coeffs[i] * rows[i]."""
     add, mul = ctx.add_table, ctx.mul_table
@@ -90,4 +79,4 @@ def combine_rows(ctx, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-__all__ = ["rref", "rank", "kernel_basis", "matmul", "combine_rows"]
+__all__ = ["rref", "rank", "kernel_basis", "combine_rows"]

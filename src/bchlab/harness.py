@@ -411,6 +411,9 @@ def check_conjecture(
 # ---------------------------------------------------------------------------
 
 
+_COLUMN_TYPES = dict(RECORD_FIELDS)
+
+
 def _field_names(stable: bool) -> list[str]:
     names = [n for n, _ in RECORD_FIELDS]
     if stable:
@@ -446,15 +449,21 @@ def records_to_csv(records: list[CodeRecord], stable: bool = False) -> str:
     return buf.getvalue()
 
 
+def _check_column(name: str) -> None:
+    if name not in _COLUMN_TYPES:
+        raise ValueError(f"unknown report column {name!r}")
+
+
 def csv_to_records(text: str) -> list[CodeRecord]:
-    types = dict(RECORD_FIELDS)
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
+    for name in header:
+        _check_column(name)
     out = []
     for row in reader:
         rec = CodeRecord(p=0, s=0, q=0, h=0, n=0, delta=0)
         for name, cell in zip(header, row):
-            rec.set(name, _from_cell(cell, types[name]))
+            rec.set(name, _from_cell(cell, _COLUMN_TYPES[name]))
         out.append(rec)
     return out
 
@@ -470,6 +479,7 @@ def json_to_records(text: str) -> list[CodeRecord]:
     for row in json.loads(text):
         rec = CodeRecord(p=0, s=0, q=0, h=0, n=0, delta=0)
         for name, value in row.items():
+            _check_column(name)
             rec.set(name, value)
         out.append(rec)
     return out

@@ -302,14 +302,6 @@ class Poly:
         return " + ".join(reversed(parts))
 
 
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    return divmod(a, b)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor."""
     a._check(b)
@@ -362,8 +354,6 @@ __all__ = [
     "TAG_Q",
     "TAG_Q2",
     "is_irreducible",
-    "poly_mul",
-    "poly_divmod",
     "poly_gcd",
     "poly_lcm",
     "minimal_polynomial",

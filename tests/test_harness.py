@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bchlab
 from bchlab.harness import (
     AnalyzeOptions,
     CodeRecord,
@@ -146,6 +151,20 @@ def test_json_roundtrip_matches_csv():
     assert records_to_csv(back) == records_to_csv(recs)
 
 
+def test_csv_to_records_rejects_unknown_column():
+    text = records_to_csv(sweep([2], 1, 1), stable=True)
+    header, rest = text.split("\n", 1)
+    with pytest.raises(ValueError, match="'bogus'"):
+        csv_to_records(header + ",bogus\n" + rest)
+
+
+def test_json_to_records_rejects_unknown_column():
+    rows = json.loads(records_to_json(sweep([2], 1, 1), stable=True))
+    rows[0]["bogus"] = 1
+    with pytest.raises(ValueError, match="'bogus'"):
+        json_to_records(json.dumps(rows))
+
+
 def test_stable_mode_excludes_runtime():
     recs = sweep([3], 1, 1)
     text = records_to_csv(recs, stable=True)
@@ -283,3 +302,18 @@ def test_finding_exit_code_is_zero(capsys):
     rec.finding = "synthetic finding"
     assert _print_outcome([rec]) == 0
     assert "FINDING" in capsys.readouterr().out
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(bchlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bchlab", "check-theorems", "--max-q", "5"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "codes analyzed" in proc.stdout
