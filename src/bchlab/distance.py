@@ -10,7 +10,10 @@ Three independent routes to the same numbers:
 * ``dual_min_distance`` measures the dual code either by enumerating the
   span of a kernel basis (``dual-enum``) or by counting the roots of
   b*u^(2h+2) + a*u^(2h+1) + a^q*u + b^q over U_{q+1} for one representative
-  (a, b) per weight-preserving symmetry class (``root-count``).
+  (a, b) per weight-preserving symmetry class (``root-count``).  On U_{q+1}
+  that polynomial is u^(h+1) * Tr(u^h (a + b*u)), and the trace vanishes on
+  one residue class of the discrete log mod q+1, so the root counts of every
+  class come from one histogram of Zech logarithms: O(q^2) work per code.
 
 Every engine that finds a value emits a witness that ``verify_witness``
 re-validates from scratch.
@@ -310,100 +313,67 @@ def exhaustive_min_distance(
 # ---------------------------------------------------------------------------
 
 
-def _root_count_scan(code: bch.BchCode, chunk: int | None = None):
-    """Minimum positive weight over one (a, b) per symmetry class.
+def _root_count_scan(code: bch.BchCode):
+    """Minimum positive weight over one (a, b) per symmetry class, with its (a, b).
 
     Classes: (a, b) ~ (lam*a, lam*b) for lam in GF(q)^* and
     (a, b) ~ (a*beta^h, b*beta^(h+1)); both preserve the weight of the trace
-    word.  Representatives are enumerated by exponent transversals, so a
-    weight is computed for (q+1)(q-1) + O(q) pairs instead of q^4.
+    word.  The representatives, in the order the first minimum is taken, are
+    a = 0 with log b < g_b, then b = 0 with log a < g_a, then a = alpha^i,
+    b = alpha^(i+v) for i < q+1 (major) and v < q-1 (minor).
+
+    On U_{q+1}, b*u^(2h+2) + a*u^(2h+1) + a^q*u + b^q = u^(h+1) * Tr(X) with
+    X = u^h * (a + b*u), so the weight is q+1 minus the number of u with
+    Tr(X) = 0, that is with X = 0 or log X = c (mod q+1), where c = 0 for
+    even q and (q+1)/2 for odd q.  For u = beta^j,
+    log X = i + h(q-1)j + zech[v + (q-1)j], and the indices v + (q-1)j run
+    over every residue mod q^2-1 once.  One histogram H[v, r] of
+    (zech[v + (q-1)j] + h(q-1)j) mod (q+1) over j therefore gives every
+    root count: roots(i, v) = H[v, (c-i) mod (q+1)] + zeros[v], with zeros[v]
+    the number of j where X = 0.  The axis classes are pure exponent
+    arithmetic.  All of it is O(q^2) work.
     """
     ctx = code.ctx
     q, h = ctx.q, code.h
-    m_ord = ctx.order
-    p = ctx.p
-    dig = ctx.digits
-    # a row of zero digits for absent terms
-    dig_ext = np.vstack([dig, np.zeros((1, dig.shape[1]), dtype=dig.dtype)])
-    zero_slot = dig.shape[0]
-    exp = ctx.exp
-    j = np.arange(q + 1, dtype=np.int64)
-    c22 = ((2 * h + 2) * (q - 1)) % m_ord
-    c21 = ((2 * h + 1) * (q - 1)) % m_ord
-    c1 = (q - 1) % m_ord
-    if chunk is None:
-        # keep each (chunk, q+1, 2s) digit block around a few million entries
-        chunk = max(128, 4_000_000 // ((q + 1) * dig.shape[1]))
+    n = q + 1
+    c = 0 if ctx.p == 2 else n // 2
+    j = np.arange(n, dtype=np.int64)
 
-    best_w = q + 2
-    best_ab: tuple[int, int] | None = None
-
-    def consider(weights: np.ndarray, la: np.ndarray | None, lb: np.ndarray | None):
-        nonlocal best_w, best_ab
-        pos = weights > 0
-        if not pos.any():
-            return
-        masked = np.where(pos, weights, q + 2)
-        wmin = int(masked.min())
-        if wmin < best_w:
-            idx = int(np.argmin(masked))
-            a = int(exp[la[idx] % m_ord]) if la is not None else 0
-            b = int(exp[lb[idx] % m_ord]) if lb is not None else 0
-            best_w = wmin
-            best_ab = (a, b)
-
-    def weights_for(la: np.ndarray | None, lb: np.ndarray | None) -> np.ndarray:
-        # root count of b*u^(2h+2) + a*u^(2h+1) + a^q*u + b^q over U_{q+1}
-        rows = len(la) if la is not None else len(lb)
-        t1 = (
-            exp[(lb[:, None] + c22 * j[None, :]) % m_ord]
-            if lb is not None
-            else np.full((rows, q + 1), zero_slot, dtype=np.int64)
-        )
-        t2 = (
-            exp[(la[:, None] + c21 * j[None, :]) % m_ord]
-            if la is not None
-            else np.full((rows, q + 1), zero_slot, dtype=np.int64)
-        )
-        t3 = (
-            exp[((la[:, None] * q) % m_ord + c1 * j[None, :]) % m_ord]
-            if la is not None
-            else np.full((rows, q + 1), zero_slot, dtype=np.int64)
-        )
-        t4 = (
-            np.broadcast_to(exp[(lb * q) % m_ord][:, None], (rows, q + 1))
-            if lb is not None
-            else np.full((rows, q + 1), zero_slot, dtype=np.int64)
-        )
-        total = (
-            dig_ext[t1].astype(np.int32)
-            + dig_ext[t2]
-            + dig_ext[t3]
-            + dig_ext[t4]
-        ) % p
-        roots = (total == 0).all(axis=2).sum(axis=1)
-        return (q + 1) - roots
-
-    def scan(la_all: np.ndarray | None, lb_all: np.ndarray | None):
-        rows = len(la_all) if la_all is not None else len(lb_all)
-        for lo in range(0, rows, chunk):
-            hi = min(lo + chunk, rows)
-            la = la_all[lo:hi] if la_all is not None else None
-            lb = lb_all[lo:hi] if lb_all is not None else None
-            consider(weights_for(la, lb), la, lb)
+    def monomial_weights(e: int, logs: np.ndarray) -> np.ndarray:
+        # weights of x * u^e for x = alpha^logs: log X = log x + e(q-1)j
+        hist = np.bincount((e * (q - 1) * j) % n, minlength=n)
+        return n - hist[(c - logs) % n]
 
     # a = 0, b != 0: orbits of log b under +(q+1) and +(q-1)(h+1)
-    g_b = gcd(gcd(q + 1, (q - 1) * (h + 1)), m_ord)
-    scan(None, np.arange(g_b, dtype=np.int64))
+    g_b = gcd(q + 1, (q - 1) * (h + 1))
     # b = 0, a != 0
-    g_a = gcd(gcd(q + 1, (q - 1) * h), m_ord)
-    scan(np.arange(g_a, dtype=np.int64), None)
-    # both nonzero: transversal (log a mod q+1, (log b - log a) mod q-1)
-    i0 = np.repeat(np.arange(q + 1, dtype=np.int64), q - 1)
-    v0 = np.tile(np.arange(q - 1, dtype=np.int64), q + 1)
-    scan(i0, (i0 + v0) % m_ord)
-
-    return best_w, best_ab
+    g_a = gcd(q + 1, (q - 1) * h)
+    # both nonzero: zech[j, v] = log(1 + alpha^(v + (q-1)j))
+    zech = ctx.zech.reshape(n, q - 1)
+    absent = zech < 0
+    key = (zech + ((h * (q - 1) * j) % n)[:, None]) % n
+    cell = np.arange(q - 1, dtype=np.int64) * n + key
+    hist = np.bincount(cell[~absent], minlength=(q - 1) * n).reshape(q - 1, n)
+    # roots[v, i] for i < q+1, which runs over the same range as j
+    roots = hist[:, (c - j) % n] + absent.sum(axis=0)[:, None]
+    weights = np.concatenate(
+        [
+            monomial_weights(h + 1, np.arange(g_b, dtype=np.int64)),
+            monomial_weights(h, np.arange(g_a, dtype=np.int64)),
+            (n - roots).T.ravel(),
+        ]
+    )
+    idx = int(np.argmin(np.where(weights > 0, weights, n + 1)))
+    if idx < g_b:
+        la, lb = None, idx
+    elif idx < g_b + g_a:
+        la, lb = idx - g_b, None
+    else:
+        la, v = divmod(idx - g_b - g_a, q - 1)
+        lb = la + v
+    a = ctx.exp_at(la) if la is not None else 0
+    b = ctx.exp_at(lb) if lb is not None else 0
+    return int(weights[idx]), (a, b)
 
 
 def dual_min_distance(
@@ -489,14 +459,7 @@ def verify_witness(code: bch.BchCode, result: DistanceResult) -> bool:
             return True
         # membership in the dual: orthogonal to every generator row
         gen = bch.generator_matrix(code)
-        add, mul = ctx.add_table, ctx.mul_table
-        for row in gen:
-            acc = 0
-            for wi, ri in zip(word, row):
-                acc = add[acc, mul[wi, ri]]
-            if acc != 0:
-                return False
-        return True
+        return not gflin.combine_rows(ctx, word, gen.T).any()
     return False
 
 

@@ -87,6 +87,7 @@ class FieldContext:
         self.beta = int(self.exp[(q - 1) % self.order])
         # lazy caches for vector kernels
         self._digits = None
+        self._zech = None
         self._sub_sorted = None
         self._sub_index = None
         self._add_table = None
@@ -263,6 +264,20 @@ class FieldContext:
                 idx //= self.p
             self._digits = np.stack(cols, axis=1)
         return self._digits
+
+    @property
+    def zech(self) -> np.ndarray:
+        """Zech logarithms: zech[k] = log(1 + alpha^k), or -1 where 1 + alpha^k = 0.
+
+        Adding 1 raises the lowest base-p digit of the element index by one
+        (mod p; XOR 1 for p = 2), and log[0] = -1 marks the zero sum.  The
+        only -1 entry sits at the k with alpha^k = -1: k = 0 for p = 2,
+        k = (q^2 - 1)/2 otherwise.
+        """
+        if self._zech is None:
+            low = self.exp % self.p
+            self._zech = self.log[self.exp - low + (low + 1) % self.p]
+        return self._zech
 
     def digits_to_index(self, d: np.ndarray) -> np.ndarray:
         weights = np.array(self._pp[: d.shape[-1]], dtype=np.int64)

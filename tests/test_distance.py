@@ -187,6 +187,22 @@ def test_witness_tampering_detected():
     assert not verify_witness(code, tampered)
 
 
+@pytest.mark.parametrize("p,s,h", [(3, 2, 1), (2, 3, 2), (5, 2, 2)])
+def test_dual_witness_tampering_detected(p, s, h):
+    # one nonzero symbol changed to another nonzero value keeps the weight
+    # but leaves the dual code
+    code = code_for(p, s, h)
+    res = dual_min_distance(code, "root-count")
+    assert verify_witness(code, res)
+    word = list(res.witness.word)
+    i = next(k for k, c in enumerate(word) if c)
+    word[i] = word[i] % (code.q - 1) + 1
+    tampered = DistanceResult(
+        res.value, CodewordWitness(tuple(word), res.witness.source), res.method
+    )
+    assert not verify_witness(code, tampered)
+
+
 def test_zero_word_witness_rejected():
     code = code_for(3, 2, 1)
     zero = DistanceResult(

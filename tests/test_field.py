@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bchlab.field import FieldContext, build_field, is_prime, prime_factors
+from bchlab.harness import prime_powers_upto
 
 
 def rng_elements(ctx, count, seed=0, nonzero=False):
@@ -150,6 +151,21 @@ def test_compact_tables_match_scalar_ops():
         if i:
             a = int(ctx.sub_sorted[i])
             assert int(ctx.sub_index[ctx.inv(a)]) == int(ctx.inv_table[i])
+
+
+@pytest.mark.parametrize("p,s", [(p, s) for _, p, s in prime_powers_upto(32)])
+def test_zech_logarithms(p, s):
+    ctx = build_field(p, s)
+    zech = ctx.zech
+    assert zech.shape == (ctx.order,)
+    sentinels = [k for k in range(ctx.order) if zech[k] < 0]
+    assert sentinels == [0 if p == 2 else ctx.order // 2]
+    for k in range(ctx.order):
+        total = ctx.add(int(ctx.exp[k]), 1)
+        if k in sentinels:
+            assert total == 0
+        else:
+            assert total == ctx.exp[zech[k]]
 
 
 def test_prime_helpers():
