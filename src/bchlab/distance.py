@@ -38,6 +38,9 @@ EXHAUSTIVE_CAP = 1 << 26
 _BLOCK_ROWS = 1 << 19
 # reduced cells (prefixes x rows x columns) per column-search block: a few MB
 _COLLISION_CELLS = 1 << 18
+# histogram cells per root-count block: small enough that the allocator
+# recycles its arrays instead of mapping fresh pages on every call
+_ROOT_COUNT_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -339,6 +342,12 @@ def _root_count_scan(code: bch.BchCode):
     c = 0 if ctx.p == 2 else n // 2
     j = np.arange(n, dtype=np.int64)
 
+    def first_min(weights: np.ndarray, offset: int) -> tuple[int, int]:
+        # (smallest positive weight, its first flat index); n+1 stands for none
+        masked = np.where(weights > 0, weights, n + 1)
+        pos = int(np.argmin(masked))
+        return int(masked.flat[pos]), offset + pos
+
     def monomial_weights(e: int, logs: np.ndarray) -> np.ndarray:
         # weights of x * u^e for x = alpha^logs: log X = log x + e(q-1)j
         hist = np.bincount((e * (q - 1) * j) % n, minlength=n)
@@ -348,22 +357,26 @@ def _root_count_scan(code: bch.BchCode):
     g_b = gcd(q + 1, (q - 1) * (h + 1))
     # b = 0, a != 0
     g_a = gcd(q + 1, (q - 1) * h)
-    # both nonzero: zech[j, v] = log(1 + alpha^(v + (q-1)j))
+    best = [
+        first_min(monomial_weights(h + 1, np.arange(g_b, dtype=np.int64)), 0),
+        first_min(monomial_weights(h, np.arange(g_a, dtype=np.int64)), g_b),
+    ]
+    # both nonzero: zech[j, v] = log(1 + alpha^(v + (q-1)j)), in blocks of v
     zech = ctx.zech.reshape(n, q - 1)
-    absent = zech < 0
-    key = (zech + ((h * (q - 1) * j) % n)[:, None]) % n
-    cell = np.arange(q - 1, dtype=np.int64) * n + key
-    hist = np.bincount(cell[~absent], minlength=(q - 1) * n).reshape(q - 1, n)
-    # roots[v, i] for i < q+1, which runs over the same range as j
-    roots = hist[:, (c - j) % n] + absent.sum(axis=0)[:, None]
-    weights = np.concatenate(
-        [
-            monomial_weights(h + 1, np.arange(g_b, dtype=np.int64)),
-            monomial_weights(h, np.arange(g_a, dtype=np.int64)),
-            (n - roots).T.ravel(),
-        ]
-    )
-    idx = int(np.argmin(np.where(weights > 0, weights, n + 1)))
+    shift = ((h * (q - 1) * j) % n)[:, None]
+    step = max(1, _ROOT_COUNT_CELLS // n)
+    for v0 in range(0, q - 1, step):
+        block = zech[:, v0 : v0 + step]
+        width = block.shape[1]
+        absent = block < 0
+        cell = np.arange(width, dtype=np.int64) * n + (block + shift) % n
+        hist = np.bincount(cell[~absent], minlength=width * n).reshape(width, n)
+        # roots[i, v] for i < q+1, which runs over the same range as j
+        roots = hist[:, (c - j) % n].T + absent.sum(axis=0)
+        value, pos = first_min(n - roots, 0)
+        i, dv = divmod(pos, width)
+        best.append((value, g_b + g_a + i * (q - 1) + v0 + dv))
+    value, idx = min(best)
     if idx < g_b:
         la, lb = None, idx
     elif idx < g_b + g_a:
@@ -373,7 +386,7 @@ def _root_count_scan(code: bch.BchCode):
         lb = la + v
     a = ctx.exp_at(la) if la is not None else 0
     b = ctx.exp_at(lb) if lb is not None else 0
-    return int(weights[idx]), (a, b)
+    return (value if value <= n else 0), (a, b)
 
 
 def dual_min_distance(

@@ -85,6 +85,8 @@ class FieldContext:
         self.alpha = self._find_generator()
         self.exp, self.log = self._build_tables()
         self.beta = int(self.exp[(q - 1) % self.order])
+        # alpha^log_minus_one = -1
+        self.log_minus_one = 0 if p == 2 else self.order // 2
         # lazy caches for vector kernels
         self._digits = None
         self._zech = None
@@ -271,17 +273,12 @@ class FieldContext:
 
         Adding 1 raises the lowest base-p digit of the element index by one
         (mod p; XOR 1 for p = 2), and log[0] = -1 marks the zero sum.  The
-        only -1 entry sits at the k with alpha^k = -1: k = 0 for p = 2,
-        k = (q^2 - 1)/2 otherwise.
+        only -1 entry sits at the k with alpha^k = -1, ``log_minus_one``.
         """
         if self._zech is None:
             low = self.exp % self.p
             self._zech = self.log[self.exp - low + (low + 1) % self.p]
         return self._zech
-
-    def digits_to_index(self, d: np.ndarray) -> np.ndarray:
-        weights = np.array(self._pp[: d.shape[-1]], dtype=np.int64)
-        return (d.astype(np.int64) * weights).sum(axis=-1)
 
     @property
     def sub_sorted(self) -> np.ndarray:
@@ -313,11 +310,20 @@ class FieldContext:
 
     @property
     def add_table(self) -> np.ndarray:
-        """(q, q) addition table over compact subfield labels."""
+        """(q, q) addition table over compact subfield labels.
+
+        For nonzero a, b: a + b = alpha^(log a + zech[log b - log a]), and 0
+        where the Zech logarithm marks b = -a.  Label 0 is the zero element.
+        """
         if self._add_table is None:
-            d = self.digits[self.sub_sorted]
-            total = (d[:, None, :] + d[None, :, :]) % self.p
-            self._add_table = self.sub_index[self.digits_to_index(total)].astype(np.int16)
+            q = self.q
+            la = self.log[self.sub_sorted[1:]]
+            zl = self.zech[(la[None, :] - la[:, None]) % self.order]
+            total = np.where(zl < 0, 0, self.exp[(la[:, None] + zl) % self.order])
+            table = np.empty((q, q), dtype=np.int16)
+            table[0, :] = table[:, 0] = np.arange(q)
+            table[1:, 1:] = self.sub_index[total]
+            self._add_table = table
         return self._add_table
 
     @property
@@ -336,9 +342,12 @@ class FieldContext:
 
     @property
     def neg_table(self) -> np.ndarray:
+        """Compact negatives: -a = alpha^(log a + log(-1))."""
         if self._neg_table is None:
-            d = (-self.digits[self.sub_sorted]) % self.p
-            self._neg_table = self.sub_index[self.digits_to_index(d)].astype(np.int16)
+            t = np.zeros(self.q, dtype=np.int16)
+            nz = self.sub_sorted[1:]
+            t[1:] = self.sub_index[self.exp[(self.log[nz] + self.log_minus_one) % self.order]]
+            self._neg_table = t
         return self._neg_table
 
     @property

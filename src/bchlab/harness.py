@@ -41,7 +41,7 @@ class AnalyzeOptions:
     root_cap_q: int = distance.ROOT_COUNT_CAP_Q
     enum_cap_q: int = distance.DUAL_ENUM_CAP_Q
     exhaustive_cap: int = distance.EXHAUSTIVE_CAP
-    resolve_cap_q: int = 128
+    resolve_cap_q: int = 256
     max_table_q: int = MAX_TABLE_Q
 
 

@@ -13,7 +13,7 @@ Key facts implemented:
 * for gcd(2h+1, q+1) = 1 the distance is 4 exactly when four pairwise
   distinct x, y, z, w in U_{q+1} satisfy
   E(x,z)/E(x,w) = E(y,z)/E(y,w) with E the divided difference of t^(2h+1)
-  (searched by hashing ratios per (z, w) pair);
+  (searched by sorting the Zech-log ratios of every (z, w) pair);
 * the dual distance lies in [q-2h-1, q+1-m] for non-degenerate h, where m is
   the larger of gcd(2h, q+1) and gcd(2h+2, q+1);
 * Singleton-like and Cadambe-Mazumdar (t = 1, Singleton estimate) bounds for
@@ -25,7 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, gcd
 
+import numpy as np
+
 from .field import FieldContext
+
+# ratio cells (pairs x points of U_{q+1}) per quadruple-search block: a few MB
+_QUADRUPLE_CELLS = 1 << 18
 
 # -- dimension table ---------------------------------------------------------
 
@@ -93,37 +98,80 @@ def ratio_equation_holds(
     return lhs == rhs
 
 
+def _log_differences(ctx: FieldContext, e: np.ndarray) -> np.ndarray:
+    """(n, n) table of log(alpha^e[x] - alpha^e[z]) for x != z.
+
+    alpha^a - alpha^b = alpha^a * (1 + alpha^(b - a + m)) with alpha^m = -1,
+    so the log is a + zech[b - a + m].  Diagonal entries are meaningless.
+    """
+    m = ctx.log_minus_one
+    return (e[:, None] + ctx.zech[(e[None, :] - e[:, None] + m) % ctx.order]) % ctx.order
+
+
 def find_ratio_quadruple(ctx: FieldContext, h: int):
     """Search U_{q+1} for four distinct x, y, z, w with equal ratios.
 
-    Collision method: for each pair (z, w) hash x -> E(x,z)/E(x,w) and stop
-    at the first repeated value.  Iteration is by ascending exponent, so the
-    returned quadruple is deterministic.  Returns None when no quadruple
-    exists (q even, distance 5) or when U_{q+1} has fewer than 4 elements.
+    Collision method: for each pair (z, w) the ratios x -> E(x,z)/E(x,w) are
+    compared and the search stops at the first repeated value.  Points are
+    taken by ascending exponent (pairs in lex order, then the smallest x
+    whose ratio an earlier y already took), so the returned (y, x, z, w) is
+    deterministic.  Returns None when no quadruple exists (q even, distance
+    5) or when U_{q+1} has fewer than 4 elements.
+
+    Everything runs on discrete logs: with X[j] = log beta^j and
+    P = (2h+1) X, the table L[x, z] = log E(x, z) is a difference of two
+    Zech-log tables, and the ratios of a pair are L[:, z] - L[:, w] mod
+    q^2 - 1.  Pairs are scanned in blocks of rows; each ratio is packed with
+    its x into one integer key, so one sort per row puts equal ratios next to
+    each other in ascending x.  The first block holds the pairs with z = 0,
+    and blocks double up to ``_QUADRUPLE_CELLS`` cells, so an early hit stays
+    cheap.
     """
-    q = ctx.q
-    circle = ctx.unit_circle()
-    if len(circle) < 4:
+    q, order = ctx.q, ctx.order
+    n = q + 1
+    if n < 4:
         return None
     if gcd(2 * h + 1, q + 1) != 1:
         raise ValueError("quadruple search requires gcd(2h+1, q+1) = 1")
-    for zi in range(len(circle)):
-        z = circle[zi]
-        for wi in range(zi + 1, len(circle)):
-            w = circle[wi]
-            seen: dict[int, int] = {}
-            for xi in range(len(circle)):
-                if xi == zi or xi == wi:
-                    continue
-                x = circle[xi]
-                ratio = ctx.div(
-                    divided_difference(ctx, x, z, h),
-                    divided_difference(ctx, x, w, h),
-                )
-                if ratio in seen:
-                    return (seen[ratio], x, z, w)
-                seen[ratio] = x
+    xs = np.arange(n, dtype=np.int64)
+    X = (q - 1) * xs
+    # t -> t^(2h+1) permutes U_{q+1}, so no off-diagonal difference is zero
+    L = _log_differences(ctx, (2 * h + 1) * X % order) - _log_differences(ctx, X)
+    cols = np.ascontiguousarray(L.T)  # cols[z] = L[:, z]
+    bits = n.bit_length()
+    mask = (1 << bits) - 1
+    # pair k of the lex order is (z, z + 1 + k - first[z])
+    first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    n_pairs = int(first[-1])
+    max_rows = max(1, _QUADRUPLE_CELLS // n)
+    lo, rows = 0, min(n - 1, max_rows)
+    while lo < n_pairs:
+        k = np.arange(lo, min(lo + rows, n_pairs))
+        zs = np.searchsorted(first, k, side="right") - 1
+        ws = zs + 1 + k - first[zs]
+        ratio = (cols[zs] - cols[ws]) % order
+        ratio[np.arange(len(k)), zs] = -1  # x = z and x = w take no part
+        ratio[np.arange(len(k)), ws] = -2
+        keys = np.sort((ratio << bits) | xs, axis=1)
+        same = (keys[:, 1:] >> bits) == (keys[:, :-1] >> bits)
+        cand = np.where(same, keys[:, 1:] & mask, n)
+        hit = np.nonzero(cand.min(axis=1) < n)[0]
+        if hit.size:
+            r = int(hit[0])
+            pos = int(np.argmin(cand[r]))
+            yi, xi = (int(keys[r, i]) & mask for i in (pos, pos + 1))
+            return _checked_quadruple(ctx, h, (yi, xi, int(zs[r]), int(ws[r])))
+        lo += len(k)
+        rows = min(2 * rows, max_rows)
     return None
+
+
+def _checked_quadruple(ctx: FieldContext, h: int, exponents: tuple) -> tuple:
+    """(beta^y, beta^x, beta^z, beta^w), re-validated with scalar arithmetic."""
+    quad = tuple(ctx.exp_at((ctx.q - 1) * j) for j in exponents)
+    if len(set(quad)) != 4 or not ratio_equation_holds(ctx, h, *quad):
+        raise AssertionError(f"quadruple search returned an invalid quadruple {quad}")
+    return quad
 
 
 def odd_q_quadruple(ctx: FieldContext, h: int):

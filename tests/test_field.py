@@ -139,18 +139,31 @@ def test_build_errors():
         build_field(2, 0)
 
 
+def _label_pairs(q, count):
+    """Every (i, j) for small q; otherwise a fixed sample plus pairs with the
+    zero label."""
+    if q * q <= count:
+        return [(i, j) for i in range(q) for j in range(q)]
+    rng = np.random.default_rng(q)
+    pairs = [tuple(int(v) for v in pair) for pair in rng.integers(0, q, size=(count, 2))]
+    return pairs + [(0, j) for j in range(4)] + [(i, 0) for i in range(4)]
+
+
 def test_compact_tables_match_scalar_ops():
-    ctx = build_field(2, 2)
-    q = ctx.q
-    for i in range(q):
-        for j in range(q):
+    for p, s in [(2, 2), (3, 2), (7, 2), (2, 6), (2, 7)]:
+        ctx = build_field(p, s)
+        q = ctx.q
+        for i, j in _label_pairs(q, 2000):
             a, b = int(ctx.sub_sorted[i]), int(ctx.sub_sorted[j])
             assert int(ctx.sub_index[ctx.add(a, b)]) == int(ctx.add_table[i, j])
             assert int(ctx.sub_index[ctx.mul(a, b)]) == int(ctx.mul_table[i, j])
-            assert int(ctx.sub_index[ctx.neg(a)]) == int(ctx.neg_table[i])
-        if i:
+        for i in range(q):
             a = int(ctx.sub_sorted[i])
-            assert int(ctx.sub_index[ctx.inv(a)]) == int(ctx.inv_table[i])
+            assert int(ctx.sub_index[ctx.neg(a)]) == int(ctx.neg_table[i])
+            if i:
+                assert int(ctx.sub_index[ctx.inv(a)]) == int(ctx.inv_table[i])
+        # a + (-a) is where the Zech logarithm has its sentinel
+        assert all(int(ctx.add_table[i, ctx.neg_table[i]]) == 0 for i in range(q))
 
 
 @pytest.mark.parametrize("p,s", [(p, s) for _, p, s in prime_powers_upto(32)])

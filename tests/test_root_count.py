@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from bchlab import distance
 from bchlab.bch import build_bch
 from bchlab.distance import _root_count_scan, dual_min_distance, verify_witness
 from bchlab.field import build_field
@@ -30,6 +31,17 @@ _spec.loader.exec_module(reference)
 
 @pytest.mark.parametrize("p,s", [(p, s) for _, p, s in prime_powers_upto(32)] + [(2, 6)])
 def test_matches_reference_every_offset(p, s):
+    ctx = build_field(p, s)
+    for h in range(ctx.q + 1):
+        code = build_bch(ctx, 3, h)
+        assert _root_count_scan(code) == reference.root_count_scan(code), (ctx.q, h)
+
+
+@pytest.mark.parametrize("p,s", [(2, 3), (3, 2), (2, 4), (5, 2)])
+def test_one_column_blocks_match_reference(p, s, monkeypatch):
+    # every v column in its own block, so the block minima must combine in
+    # the scan order
+    monkeypatch.setattr(distance, "_ROOT_COUNT_CELLS", 1)
     ctx = build_field(p, s)
     for h in range(ctx.q + 1):
         code = build_bch(ctx, 3, h)
