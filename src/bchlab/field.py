@@ -28,6 +28,9 @@ from .polynomial import is_irreducible
 
 MAX_TABLE_Q = 1 << 12  # default cap: exp/log tables of ~2^24 entries
 
+# Cells of the (rows, 2s) digit block the exp/log fill multiplies at a time.
+_FILL_CELLS = 1 << 18
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -81,9 +84,8 @@ class FieldContext:
         self.q2 = q * q
         self.order = self.q2 - 1
         self.modulus = self._find_modulus()
-        self._pp = [p**i for i in range(2 * s + 1)]
         self.alpha = self._find_generator()
-        self.exp, self.log = self._build_tables()
+        self.exp, self.log = self._exp_log_tables(self.alpha)
         self.beta = int(self.exp[(q - 1) % self.order])
         # alpha^log_minus_one = -1
         self.log_minus_one = 0 if p == 2 else self.order // 2
@@ -100,64 +102,90 @@ class FieldContext:
     # -- construction ------------------------------------------------------
 
     def _find_modulus(self) -> tuple[int, ...]:
-        deg = 2 * self.s
-        for low in itertools.product(range(self.p), repeat=deg):
-            f = list(low) + [1]
-            if is_irreducible(f, self.p):
-                return tuple(f)
+        """Lex-smallest monic irreducible of degree 2s over GF(p).
+
+        A candidate with f(0) = 0 is divisible by x, and for p = 2 one with
+        f(1) = 0 by x + 1, so neither is tested.  The constant term varies
+        slowest in the lex order, so looping over it outermost visits the
+        remaining candidates in the same order.
+        """
+        p, deg = self.p, 2 * self.s
+        for c0 in range(1, p):
+            for middle in itertools.product(range(p), repeat=deg - 1):
+                if p == 2 and sum(middle) % 2 == 0:  # f(1) = sum(middle) mod 2
+                    continue
+                f = [c0, *middle, 1]
+                if is_irreducible(f, p):
+                    return tuple(f)
         raise AssertionError("no irreducible polynomial found")  # unreachable
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Table-free product of two element indices."""
-        p = self.p
-        da = self._to_digits(a)
-        db = self._to_digits(b)
-        out = [0] * (len(da) + len(db) - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        # reduce modulo the field modulus (monic, degree 2s)
-        deg = 2 * self.s
-        for top in range(len(out) - 1, deg - 1, -1):
-            c = out[top]
-            if c:
-                shift = top - deg
-                for j in range(deg):
-                    out[shift + j] = (out[shift + j] - c * self.modulus[j]) % p
-            out[top] = 0
-        return sum(out[i] * self._pp[i] for i in range(deg))
+    # Multiplication by a fixed element c is GF(p)-linear on digit vectors:
+    # digits(a * c) = digits(a) @ M_c mod p, where row j of M_c holds the
+    # digits of c * x^j mod f, and M_(ab) = M_a @ M_b.  The matrices are
+    # int64: numpy multiplies those in its own loop, not through BLAS, whose
+    # worker threads stay spinning on the other cores after a large product.
 
-    def _pow_raw(self, a: int, e: int) -> int:
-        acc = 1
-        base = a
+    def _mul_matrix(self, c: int) -> np.ndarray:
+        p, deg = self.p, 2 * self.s
+        low = np.array(self.modulus[:deg], dtype=np.int64)
+        out = np.empty((deg, deg), dtype=np.int64)
+        row = np.array(self._to_digits(c), dtype=np.int64)
+        for j in range(deg):
+            out[j] = row
+            row = (np.concatenate(([0], row[:-1])) - row[-1] * low) % p  # x * row mod f
+        return out
+
+    def _pow_matrix(self, m: np.ndarray, e: int) -> np.ndarray:
+        acc = np.eye(len(m), dtype=np.int64)
         while e:
             if e & 1:
-                acc = self._mul_raw(acc, base)
-            base = self._mul_raw(base, base)
+                acc = acc @ m % self.p
+            m = m @ m % self.p
             e >>= 1
         return acc
 
     def _find_generator(self) -> int:
-        fac = prime_factors(self.order)
-        checks = [self.order // r for r in fac]
+        """First g >= 2 with g^(order/r) != 1 for every prime r | order."""
+        checks = [self.order // r for r in prime_factors(self.order)]
+        one = np.eye(2 * self.s, dtype=np.int64)
         for g in range(2, self.q2):
-            if all(self._pow_raw(g, e) != 1 for e in checks):
+            m = self._mul_matrix(g)
+            if not any(np.array_equal(self._pow_matrix(m, e), one) for e in checks):
                 return g
         raise AssertionError("no generator found")  # unreachable
 
-    def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        exp = np.zeros(self.order, dtype=np.int64)
+    def _exp_log_tables(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """exp[i] = g^i for i < order, and log, its inverse, with log[0] = -1.
+
+        The digit rows of g^i are filled in blocks of B rows, a power of two
+        with B * 2s <= _FILL_CELLS: the first block by doubling, each next
+        one as the previous block times M_(g^B).  A block is packed to
+        indices with one dot against p^j and scattered into log.
+        """
+        p, deg, order = self.p, 2 * self.s, self.order
+        block = min(order, 1 << ((_FILL_CELLS // deg).bit_length() - 1))
+        rows = np.zeros((1, deg), dtype=np.int64)
+        rows[0, 0] = 1
+        mul_g = step = self._mul_matrix(g)
+        while len(rows) < block:
+            rows = np.vstack((rows, rows @ step % p))
+            step = step @ step % p
+        pack = p ** np.arange(deg, dtype=np.int64)
+        exp = np.empty(order, dtype=np.int64)
         log = np.full(self.q2, -1, dtype=np.int64)
-        cur = 1
-        for i in range(self.order):
-            exp[i] = cur
-            if log[cur] != -1:
-                raise AssertionError("generator order too small")  # unreachable
-            log[cur] = i
-            cur = self._mul_raw(cur, self.alpha)
-        if cur != 1:
-            raise AssertionError("exp table does not close")  # unreachable
+        for start in range(0, order, len(rows)):
+            if start:
+                rows = rows @ step
+                rows %= p
+            chunk = rows[: order - start]
+            idx = chunk @ pack
+            exp[start : start + len(idx)] = idx
+            log[idx] = np.arange(start, start + len(idx))
+        closing = chunk[-1] @ mul_g % p
+        if closing[0] != 1 or closing[1:].any():
+            raise AssertionError("exp table does not close")
+        if (log[1:] < 0).any():
+            raise AssertionError("generator order too small")
         return exp, log
 
     def _to_digits(self, a: int) -> list[int]:

@@ -295,6 +295,10 @@ def sweep(
             for h in hs:
                 tasks.append((p, s, h, opts))
     if threads > 1:
+        # workers are forked, so fields built here are inherited, not rebuilt
+        for p, s in dict.fromkeys((t[0], t[1]) for t in tasks):
+            if p**s <= opts.max_table_q:
+                build_field(p, s, opts.max_table_q)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_analyze_args, tasks, chunksize=4))
     return [_analyze_args(t) for t in tasks]

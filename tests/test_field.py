@@ -1,8 +1,24 @@
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bchlab.field import FieldContext, build_field, is_prime, prime_factors
 from bchlab.harness import prime_powers_upto
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden" / "fields.json"
+
+# loaded by path: a top-level ``reference`` name would clash with other
+# modules of that name on sys.path
+_spec = importlib.util.spec_from_file_location(
+    "field_tables_reference", HERE / "reference" / "field_tables.py"
+)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 def rng_elements(ctx, count, seed=0, nonzero=False):
@@ -184,3 +200,49 @@ def test_zech_logarithms(p, s):
 def test_prime_helpers():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert prime_factors(360) == [2, 3, 5]
+
+
+def test_golden_fields():
+    """Modulus, alpha, beta, exp and log for every q <= 256, recorded with the
+    per-entry scalar construction that ``reference/field_tables.py`` keeps."""
+    golden = json.loads(GOLDEN.read_text())
+    assert [(g["p"], g["s"]) for g in golden] == [(p, s) for _, p, s in prime_powers_upto(256)]
+    for g in golden:
+        ctx = FieldContext(g["p"], g["s"], 4096)
+        got = {
+            "p": ctx.p,
+            "s": ctx.s,
+            "modulus": list(ctx.modulus),
+            "alpha": ctx.alpha,
+            "beta": ctx.beta,
+            "exp_sha256": hashlib.sha256(ctx.exp.tobytes()).hexdigest(),
+            "log_sha256": hashlib.sha256(ctx.log.tobytes()).hexdigest(),
+        }
+        assert got == g
+
+
+@pytest.mark.parametrize("p,s", [(p, s) for _, p, s in prime_powers_upto(64)])
+def test_matches_reference_construction(p, s):
+    """The reference scans every candidate modulus, so an equal modulus also
+    shows that skipping roots at 0 (and at 1 for p = 2) passes over no
+    irreducible."""
+    ctx = build_field(p, s)
+    modulus, alpha, exp, log = reference.field_tables(p, s)
+    assert ctx.modulus == modulus and ctx.alpha == alpha
+    assert np.array_equal(ctx.exp, exp) and np.array_equal(ctx.log, log)
+    assert ctx.exp.dtype == ctx.log.dtype == np.int64
+
+
+@pytest.mark.parametrize("p,s", [(2, 2), (3, 2), (7, 1), (2, 5)])
+def test_fill_rejects_non_primitive_element(p, s):
+    ctx = FieldContext(p, s, 4096)
+    g = ctx.exp_at(ctx.q + 1)  # order q - 1
+    with pytest.raises(AssertionError, match="generator order too small"):
+        ctx._exp_log_tables(g)
+
+
+def test_fill_rejects_table_that_does_not_close():
+    ctx = FieldContext(2, 2, 4096)
+    ctx.modulus = (0, 0, 0, 0, 1)  # x^4: multiplication by x is nilpotent
+    with pytest.raises(AssertionError, match="exp table does not close"):
+        ctx._exp_log_tables(2)

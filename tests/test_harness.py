@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bchlab
+from bchlab.field import build_field
 from bchlab.harness import (
     AnalyzeOptions,
     CodeRecord,
@@ -99,8 +100,13 @@ def test_sweep_h_list_skips_out_of_range():
 
 
 def test_sweep_parallel_matches_serial():
-    serial = sweep([3], 1, 2)
+    build_field.cache_clear()
     parallel = sweep([3], 1, 2, threads=2)
+    # the parent built both fields before forking its workers
+    assert build_field.cache_info().currsize == 2
+    serial = sweep([3], 1, 2)
+    assert build_field.cache_info().misses == 2
+    assert records_to_csv(parallel, stable=True) == records_to_csv(serial, stable=True)
     strip = lambda rs: [
         {k: v for k, v in r.__dict__.items() if k != "runtime_ms"} for r in rs
     ]
