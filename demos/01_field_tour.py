@@ -18,7 +18,8 @@ print("alpha =", ctx.alpha, " beta = alpha^(q-1) =", ctx.beta)
 # Elements are integers in [0, q^2); the base-p digits are the coordinates in
 # the polynomial basis.  Index 0 is zero, index 1 is one.
 x = ctx.alpha
-print("\nalpha as coefficient vector:", ctx.element_coeffs(x))
+coeffs = tuple(x // ctx.p**j % ctx.p for j in range(2 * ctx.s))
+print("\nalpha as coefficient vector:", coeffs)
 print("alpha * alpha^-1 =", ctx.mul(x, ctx.inv(x)))
 
 # The Frobenius map x -> x^q is an involution; its fixed field is GF(q).

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gflin
+from . import cosets, gflin
 from .field import FieldContext
-from .polynomial import TAG_Q, Poly, minimal_polynomial, poly_lcm
+from .polynomial import TAG_Q, Poly, minimal_polynomial
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,6 +48,9 @@ class BchCode:
 def build_bch(ctx: FieldContext, delta: int = 3, h: int = 0) -> BchCode:
     """Construct the code from its generator polynomial.
 
+    g is the product of the distinct minimal polynomials of beta^h, ...,
+    beta^(h+delta-2), one per cyclotomic coset; distinct minimal polynomials
+    are distinct monic irreducibles, so the product is their lcm.
     Requires 0 <= h <= q and 2 <= delta <= n.
     """
     n = ctx.q + 1
@@ -55,25 +58,33 @@ def build_bch(ctx: FieldContext, delta: int = 3, h: int = 0) -> BchCode:
         raise ValueError(f"h={h} out of range [0, {ctx.q}]")
     if not 2 <= delta <= n:
         raise ValueError(f"delta={delta} out of range [2, {n}]")
+    leaders = dict.fromkeys(
+        cosets.coset_of((h + r) % n, n, ctx.q).leader for r in range(delta - 1)
+    )
     g = Poly.one(ctx, TAG_Q)
-    for r in range(delta - 1):
-        g = poly_lcm(g, minimal_polynomial(ctx, (h + r) % n, n))
+    for e in leaders:
+        g = g * minimal_polynomial(ctx, e, n)
     rem = Poly.x_pow_minus_one(ctx, TAG_Q, n) % g
     if not rem.is_zero():
         raise AssertionError("generator does not divide x^n - 1")  # unreachable
     return BchCode(ctx=ctx, n=n, delta=delta, h=h, g=g, k=n - g.degree)
 
 
+def _times(ctx: FieldContext, logs, shift, power: int = 1) -> np.ndarray:
+    """Logs of (alpha^logs)^power * alpha^shift; -1 (zero) stays -1."""
+    return np.where(logs < 0, -1, (power * logs + shift) % ctx.order)
+
+
+def _parity_logs(code: BchCode) -> np.ndarray:
+    """(delta-1, n) logs of the parity rows: (h+r)(q-1)i mod q^2-1."""
+    r = np.arange(code.delta - 1, dtype=np.int64)[:, None]
+    i = np.arange(code.n, dtype=np.int64)
+    return (code.h + r) * (code.ctx.q - 1) * i % code.ctx.order
+
+
 def parity_rows(code: BchCode) -> np.ndarray:
     """(delta-1, n) matrix over GF(q^2): row r is [(beta^(h+r))^i]_i."""
-    ctx = code.ctx
-    step = ctx.q - 1  # log of beta
-    rows = np.zeros((code.delta - 1, code.n), dtype=np.int64)
-    for r in range(code.delta - 1):
-        e = (code.h + r) * step
-        for i in range(code.n):
-            rows[r, i] = ctx.exp_at(e * i)
-    return rows
+    return code.ctx.exp[_parity_logs(code)]
 
 
 def generator_matrix(code: BchCode) -> np.ndarray:
@@ -86,29 +97,26 @@ def generator_matrix(code: BchCode) -> np.ndarray:
     return mat
 
 
-def split_on_basis(ctx: FieldContext, e: int) -> tuple[int, int]:
-    """Coordinates (c0, c1) of e in the GF(q)-basis {1, alpha} of GF(q^2)."""
-    denom = ctx.sub(ctx.alpha, ctx.frobenius(ctx.alpha))
-    c1 = ctx.div(ctx.sub(e, ctx.frobenius(e)), denom)
-    c0 = ctx.sub(e, ctx.mul(c1, ctx.alpha))
-    return c0, c1
-
-
 def expanded_parity_matrix(code: BchCode) -> np.ndarray:
     """(2(delta-1), n) compact-label parity matrix over GF(q).
 
     Row 2r holds the {1}-coordinates and row 2r+1 the {alpha}-coordinates of
     parity row r.  Its right kernel over GF(q) is the code; the rank equals
     n - k (it drops below 2(delta-1) for the degenerate offsets).
+
+    For e = c0 + c1*alpha with c0, c1 in GF(q), e^q = c0 + c1*alpha^q, so
+    c1 = (e - e^q)/(alpha - alpha^q) and c0 = e - c1*alpha, all in logs.
     """
     ctx = code.ctx
-    rows = parity_rows(code)
-    out = np.zeros((2 * rows.shape[0], code.n), dtype=np.int64)
-    for r in range(rows.shape[0]):
-        for i in range(code.n):
-            c0, c1 = split_on_basis(ctx, int(rows[r, i]))
-            out[2 * r, i] = ctx.sub_index[c0]
-            out[2 * r + 1, i] = ctx.sub_index[c1]
+    m = ctx.log_minus_one
+    e = _parity_logs(code)
+    diff = ctx.log_add(e, _times(ctx, e, m, ctx.q))  # e - e^q
+    denom = ctx.log_add(1, _times(ctx, 1, m, ctx.q))  # alpha - alpha^q, nonzero
+    c1 = _times(ctx, diff, -denom)
+    c0 = ctx.log_add(e, _times(ctx, c1, 1 + m))
+    out = np.empty((2 * len(e), code.n), dtype=np.int64)
+    out[0::2] = ctx.sub_index[ctx.from_log(c0)]
+    out[1::2] = ctx.sub_index[ctx.from_log(c1)]
     return out
 
 
@@ -134,18 +142,19 @@ class DualCodeword:
 
 
 def dual_codeword(code: BchCode, a: int, b: int) -> DualCodeword:
-    """The dual codeword attached to (a, b) in GF(q^2)^2 (delta = 3 only)."""
+    """The dual codeword attached to (a, b) in GF(q^2)^2 (delta = 3 only).
+
+    Entry i is Tr(X) = X + X^q with X = u^h (a + b*u) and u = beta^i,
+    computed on logs for all i at once.
+    """
     if code.delta != 3:
         raise ValueError("trace representation applies to delta = 3")
     ctx = code.ctx
-    step = ctx.q - 1
-    word = []
-    for i in range(code.n):
-        u_h = ctx.exp_at(code.h * step * i)
-        u_h1 = ctx.exp_at((code.h + 1) * step * i)
-        t = ctx.trace(ctx.add(ctx.mul(a, u_h), ctx.mul(b, u_h1)))
-        word.append(int(ctx.sub_index[t]))
-    return DualCodeword(a=a, b=b, word=tuple(word))
+    lu = (ctx.q - 1) * np.arange(code.n, dtype=np.int64)  # log u
+    lx = _times(ctx, ctx.log_add(ctx.log[a], _times(ctx, ctx.log[b], lu)), code.h * lu)
+    tr = ctx.log_add(lx, _times(ctx, lx, 0, ctx.q))
+    word = ctx.sub_index[ctx.from_log(tr)]
+    return DualCodeword(a=a, b=b, word=tuple(word.tolist()))
 
 
 __all__ = [
@@ -157,5 +166,4 @@ __all__ = [
     "expanded_parity_matrix",
     "dual_basis",
     "dual_codeword",
-    "split_on_basis",
 ]

@@ -12,9 +12,9 @@ multiplicative order q^2 - 1.  ``beta = alpha^(q-1)`` generates the group
 U_{q+1} of (q+1)-th roots of unity, and the embedded GF(q) is the fixed field
 of the Frobenius map x -> x^q.
 
-For bulk kernels the context also exposes a compact relabelling of the
-subfield onto [0, q) (sorted by element index) together with q x q add/mul
-tables as numpy arrays.
+For bulk kernels the context also exposes elementwise addition of discrete
+logs through Zech logarithms (``log_add``), and a compact relabelling of the
+subfield onto [0, q) (sorted by element index) with q x q add/mul tables.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class FieldContext:
         p, deg = self.p, 2 * self.s
         low = np.array(self.modulus[:deg], dtype=np.int64)
         out = np.empty((deg, deg), dtype=np.int64)
-        row = np.array(self._to_digits(c), dtype=np.int64)
+        row = c // p ** np.arange(deg, dtype=np.int64) % p
         for j in range(deg):
             out[j] = row
             row = (np.concatenate(([0], row[:-1])) - row[-1] * low) % p  # x * row mod f
@@ -187,14 +187,6 @@ class FieldContext:
         if (log[1:] < 0).any():
             raise AssertionError("generator order too small")
         return exp, log
-
-    def _to_digits(self, a: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(2 * self.s):
-            out.append(a % p)
-            a //= p
-        return out
 
     # -- scalar arithmetic ---------------------------------------------------
 
@@ -254,11 +246,6 @@ class FieldContext:
         """alpha^e for any integer e."""
         return int(self.exp[e % self.order])
 
-    def log_of(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero is outside the log domain")
-        return int(self.log[a])
-
     def frobenius(self, a: int) -> int:
         """x -> x^q; an involution whose fixed field is the embedded GF(q)."""
         return self.pow(a, self.q)
@@ -274,9 +261,6 @@ class FieldContext:
         """[beta^0, ..., beta^q]: the q+1 roots of x^(q+1) - 1, by exponent."""
         step = self.q - 1
         return [self.exp_at(step * j) for j in range(self.q + 1)]
-
-    def element_coeffs(self, a: int) -> tuple[int, ...]:
-        return tuple(self._to_digits(a))
 
     def __repr__(self) -> str:
         return f"FieldContext(p={self.p}, s={self.s}, q={self.q})"
@@ -308,6 +292,23 @@ class FieldContext:
             self._zech = self.log[self.exp - low + (low + 1) % self.p]
         return self._zech
 
+    def log_add(self, la, lb) -> np.ndarray:
+        """log(alpha^la + alpha^lb) elementwise (broadcast), -1 where the sum is 0.
+
+        Logs lie in [0, order), and -1 stands for the zero element, on input
+        and output.  alpha^a + alpha^b = alpha^a * (1 + alpha^(b - a)), so the
+        log is a + zech[b - a], and the Zech sentinel -1 marks b = -a.
+        """
+        la, lb = np.asarray(la, dtype=np.int64), np.asarray(lb, dtype=np.int64)
+        z = self.zech[(lb - la) % self.order]
+        total = np.where(z < 0, -1, (la + z) % self.order)
+        return np.where(la < 0, lb, np.where(lb < 0, la, total))
+
+    def from_log(self, logs) -> np.ndarray:
+        """Elements alpha^logs for logs in [0, order), and 0 where a log is -1."""
+        logs = np.asarray(logs, dtype=np.int64)
+        return np.where(logs < 0, 0, self.exp[logs])
+
     @property
     def sub_sorted(self) -> np.ndarray:
         """Element indices of GF(q), ascending; position = compact label."""
@@ -338,20 +339,11 @@ class FieldContext:
 
     @property
     def add_table(self) -> np.ndarray:
-        """(q, q) addition table over compact subfield labels.
-
-        For nonzero a, b: a + b = alpha^(log a + zech[log b - log a]), and 0
-        where the Zech logarithm marks b = -a.  Label 0 is the zero element.
-        """
+        """(q, q) addition table over compact subfield labels, from log_add."""
         if self._add_table is None:
-            q = self.q
-            la = self.log[self.sub_sorted[1:]]
-            zl = self.zech[(la[None, :] - la[:, None]) % self.order]
-            total = np.where(zl < 0, 0, self.exp[(la[:, None] + zl) % self.order])
-            table = np.empty((q, q), dtype=np.int16)
-            table[0, :] = table[:, 0] = np.arange(q)
-            table[1:, 1:] = self.sub_index[total]
-            self._add_table = table
+            logs = self.log[self.sub_sorted]  # -1 at label 0, the zero element
+            total = self.log_add(logs[:, None], logs[None, :])
+            self._add_table = self.sub_index[self.from_log(total)].astype(np.int16)
         return self._add_table
 
     @property

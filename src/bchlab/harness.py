@@ -256,14 +256,9 @@ def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> Co
                 f"k_opt={rec.k_optimal})"
             )
 
-    if errors:
-        mismatches.extend(errors)
-        rec.error = "; ".join(errors)
-    rec.match = not mismatches
-    if mismatches:
-        rec.finding = "; ".join(mismatches + findings)
-    else:
-        rec.finding = "; ".join(findings)
+    rec.error = "; ".join(errors + [f"mismatch: {m}" for m in mismatches])
+    rec.match = not rec.error
+    rec.finding = "; ".join(findings)
     rec.runtime_ms = int(round((time.perf_counter() - t0) * 1000))
     return rec
 
@@ -507,7 +502,7 @@ def _print_outcome(records: list[CodeRecord]) -> int:
         print(f"FINDING q={rec.q} h={rec.h}: {rec.finding}")
     if bad:
         for rec in bad:
-            print(f"MISMATCH q={rec.q} h={rec.h}: {rec.finding}", file=sys.stderr)
+            print(f"MISMATCH q={rec.q} h={rec.h}: {rec.error}", file=sys.stderr)
             row = {name: rec.get(name) for name, _ in RECORD_FIELDS}
             print(json.dumps(row), file=sys.stderr)
         return 1

@@ -101,11 +101,10 @@ def ratio_equation_holds(
 def _log_differences(ctx: FieldContext, e: np.ndarray) -> np.ndarray:
     """(n, n) table of log(alpha^e[x] - alpha^e[z]) for x != z.
 
-    alpha^a - alpha^b = alpha^a * (1 + alpha^(b - a + m)) with alpha^m = -1,
-    so the log is a + zech[b - a + m].  Diagonal entries are meaningless.
+    alpha^a - alpha^b = alpha^a + alpha^(b + m) with alpha^m = -1, one
+    ``log_add``.  Diagonal entries are meaningless.
     """
-    m = ctx.log_minus_one
-    return (e[:, None] + ctx.zech[(e[None, :] - e[:, None] + m) % ctx.order]) % ctx.order
+    return ctx.log_add(e[:, None], (e[None, :] + ctx.log_minus_one) % ctx.order)
 
 
 def find_ratio_quadruple(ctx: FieldContext, h: int):

@@ -9,9 +9,9 @@ from bchlab.bch import (
     expanded_parity_matrix,
     generator_matrix,
     parity_rows,
-    split_on_basis,
 )
 from bchlab.field import build_field
+from bchlab.harness import prime_powers_upto
 from bchlab.polynomial import Poly
 
 
@@ -91,13 +91,19 @@ def test_expanded_kernel_dimension_is_k(p, s):
         assert gflin.rank(ctx, mat) == code.n - code.k
 
 
-def test_split_on_basis_reconstructs():
-    ctx = build_field(3, 2)
-    rng = np.random.default_rng(21)
-    for x in rng.integers(0, ctx.q2, size=200):
-        c0, c1 = split_on_basis(ctx, int(x))
-        assert ctx.in_subfield(c0) and ctx.in_subfield(c1)
-        assert ctx.add(c0, ctx.mul(c1, ctx.alpha)) == int(x)
+@pytest.mark.parametrize("q,p,s", prime_powers_upto(27))
+def test_expanded_rows_rebuild_parity_rows(q, p, s):
+    # rows 2r and 2r+1 are the coordinates c0, c1 of parity row r in the
+    # basis {1, alpha}: c0 + c1*alpha gives the row back
+    ctx = build_field(p, s)
+    for h in range(q + 1):
+        code = build_bch(ctx, 3, h)
+        rows = parity_rows(code)
+        mat = expanded_parity_matrix(code)
+        c0, c1 = ctx.from_compact(mat[0::2]), ctx.from_compact(mat[1::2])
+        for r, i in np.ndindex(rows.shape):
+            rebuilt = ctx.add(int(c0[r, i]), ctx.mul(int(c1[r, i]), ctx.alpha))
+            assert rebuilt == rows[r, i]
 
 
 def test_kernel_of_expanded_equals_code():

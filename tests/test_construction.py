@@ -1,0 +1,56 @@
+"""Array construction against the scalar reference construction.
+
+``reference/construction.py`` holds the per-entry loops that the log/Zech
+array expressions of ``bchlab.bch`` replaced, with its own digit-loop
+addition.  Both must give the same generator polynomial, parity rows,
+expanded parity matrix and trace words.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bchlab.bch import build_bch, dual_codeword, expanded_parity_matrix, parity_rows
+from bchlab.field import build_field
+from bchlab.harness import prime_powers_upto
+
+HERE = Path(__file__).resolve().parent
+
+# loaded by path: a top-level ``reference`` name would clash with other
+# modules of that name on sys.path
+_spec = importlib.util.spec_from_file_location(
+    "construction_reference", HERE / "reference" / "construction.py"
+)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
+
+
+def _grid():
+    for q, p, s in prime_powers_upto(64):
+        yield pytest.param(p, s, 3, id=f"q{q}-delta3")
+        for delta in (4, 5):
+            if q <= 16 and delta <= q + 1:
+                yield pytest.param(p, s, delta, id=f"q{q}-delta{delta}")
+
+
+@pytest.mark.parametrize("p,s,delta", _grid())
+def test_matches_reference_construction(p, s, delta):
+    ctx = build_field(p, s)
+    for h in range(ctx.q + 1):
+        code = build_bch(ctx, delta, h)
+        assert code.g == reference.generator(ctx, delta, h)
+        np.testing.assert_array_equal(parity_rows(code), reference.parity_rows(ctx, delta, h))
+        np.testing.assert_array_equal(
+            expanded_parity_matrix(code), reference.expanded_parity_matrix(ctx, delta, h)
+        )
+        if delta != 3:
+            continue
+        rng = np.random.default_rng(1000 * ctx.q + h)
+        pairs = [(0, 0), (0, 1), (1, 0)] + [
+            (int(a), int(b)) for a, b in rng.integers(0, ctx.q2, size=(20, 2))
+        ]
+        for a, b in pairs:
+            assert dual_codeword(code, a, b).word == reference.dual_codeword(ctx, h, a, b)
+

@@ -187,6 +187,44 @@ def test_witness_tampering_detected():
     assert not verify_witness(code, tampered)
 
 
+@pytest.mark.parametrize("p,s,h", [(3, 2, 2), (2, 3, 2), (2, 5, 8), (5, 2, 2)])
+def test_column_witness_coefficient_tampering_detected(p, s, h):
+    # the columns stay; one coefficient takes every other nonzero value
+    code = code_for(p, s, h)
+    res = min_distance_by_columns(code)
+    assert verify_witness(code, res)
+    for pos in range(len(res.witness.coeffs)):
+        for c in range(1, code.q):
+            coeffs = list(res.witness.coeffs)
+            if coeffs[pos] == c:
+                continue
+            coeffs[pos] = c
+            tampered = DistanceResult(
+                res.value, ColumnsWitness(res.witness.cols, tuple(coeffs)), res.method
+            )
+            assert not verify_witness(code, tampered)
+
+
+@pytest.mark.parametrize("p,s,h", [(5, 1, 1), (2, 2, 1), (3, 2, 1)])
+def test_exhaustive_witness_tampering_detected(p, s, h):
+    # one nonzero symbol changed to another nonzero value keeps the weight
+    # but leaves the code
+    code = code_for(p, s, h)
+    res = exhaustive_min_distance(code.ctx, generator_matrix(code))
+    assert res.method == "exhaustive" and verify_witness(code, res)
+    word = list(res.witness.word)
+    for i in (k for k, c in enumerate(word) if c):
+        for c in range(1, code.q):
+            if c == res.witness.word[i]:
+                continue
+            word[i] = c
+            tampered = DistanceResult(
+                res.value, CodewordWitness(tuple(word), res.witness.source), res.method
+            )
+            assert not verify_witness(code, tampered)
+        word[i] = res.witness.word[i]
+
+
 @pytest.mark.parametrize("p,s,h", [(3, 2, 1), (2, 3, 2), (5, 2, 2)])
 def test_dual_witness_tampering_detected(p, s, h):
     # one nonzero symbol changed to another nonzero value keeps the weight

@@ -295,10 +295,35 @@ def test_mismatch_exit_code_and_record_dump(capsys):
     good = analyze(3, 1, 0)
     bad = analyze(3, 1, 1)
     bad.match = False
-    bad.finding = "synthetic mismatch for the exit-code path"
+    bad.error = "mismatch: synthetic mismatch for the exit-code path"
     assert _print_outcome([good, bad]) == 1
     err = capsys.readouterr().err
-    assert "MISMATCH" in err and '"q": 3' in err
+    assert "MISMATCH q=3 h=1: mismatch: synthetic mismatch" in err and '"q": 3' in err
+
+
+def test_mismatch_goes_to_error_not_finding(monkeypatch):
+    from bchlab import harness
+
+    monkeypatch.setattr(harness.theory, "predict_dimension", lambda q, h: -1)
+    rec = analyze(3, 1, 1)
+    assert not rec.match
+    assert rec.error.startswith(f"mismatch: dimension: computed {rec.k}, predicted -1")
+    assert rec.finding == ""
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_check_theorems_matches_golden_csv():
+    text = records_to_csv(check_theorems(32), stable=True)
+    assert text.encode() == (GOLDEN / "check_theorems_32.csv").read_bytes()
+
+
+def test_sweep_cli_matches_golden_csv(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--p", "2,3,5", "--s-min", "1", "--s-max", "2", "--h", "all"]
+    assert main(argv + ["--stable", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "sweep_p235_s1-2.csv").read_bytes()
 
 
 def test_finding_exit_code_is_zero(capsys):
