@@ -52,27 +52,44 @@ def build_bch(ctx: FieldContext, delta: int = 3, h: int = 0) -> BchCode:
     beta^(h+delta-2), one per cyclotomic coset; distinct minimal polynomials
     are distinct monic irreducibles, so the product is their lcm.
     Requires 0 <= h <= q and 2 <= delta <= n.
+
+    g is then checked against its defining set D, the union of those cosets:
+    monic, of degree |D| and zero at every beta^e, e in D, it equals the
+    product of (x - beta^e) over D and so divides x^n - 1.  The check
+    evaluates g through Zech logarithms, which the digit-loop arithmetic of
+    the product never uses.
     """
     n = ctx.q + 1
     if not 0 <= h <= ctx.q:
         raise ValueError(f"h={h} out of range [0, {ctx.q}]")
     if not 2 <= delta <= n:
         raise ValueError(f"delta={delta} out of range [2, {n}]")
-    leaders = dict.fromkeys(
-        cosets.coset_of((h + r) % n, n, ctx.q).leader for r in range(delta - 1)
-    )
+    members = {}
+    for r in range(delta - 1):
+        coset = cosets.coset_of((h + r) % n, n, ctx.q)
+        members[coset.leader] = coset.members
     g = Poly.one(ctx, TAG_Q)
-    for e in leaders:
+    for e in members:
         g = g * minimal_polynomial(ctx, e, n)
-    rem = Poly.x_pow_minus_one(ctx, TAG_Q, n) % g
-    if not rem.is_zero():
-        raise AssertionError("generator does not divide x^n - 1")  # unreachable
+    root_logs = (ctx.q - 1) * np.array([e for m in members.values() for e in m], dtype=np.int64)
+    vanishes = not (_eval_logs(ctx, g, root_logs) >= 0).any()
+    if g.leading != 1 or g.degree != len(root_logs) or not vanishes:
+        raise AssertionError("generator is not the product of x - beta^e over its defining set")
     return BchCode(ctx=ctx, n=n, delta=delta, h=h, g=g, k=n - g.degree)
 
 
 def _times(ctx: FieldContext, logs, shift, power: int = 1) -> np.ndarray:
     """Logs of (alpha^logs)^power * alpha^shift; -1 (zero) stays -1."""
+    logs = np.asarray(logs, dtype=np.int64)
     return np.where(logs < 0, -1, (power * logs + shift) % ctx.order)
+
+
+def _eval_logs(ctx: FieldContext, f: Poly, logs: np.ndarray) -> np.ndarray:
+    """log f(alpha^logs) elementwise, -1 where it is zero: Horner over logs."""
+    acc = np.full(len(logs), -1, dtype=np.int64)
+    for c in reversed(f.coeffs):
+        acc = ctx.log_add(_times(ctx, acc, logs), ctx.log[c])
+    return acc
 
 
 def _parity_logs(code: BchCode) -> np.ndarray:

@@ -448,6 +448,20 @@ def _in_code(code: bch.BchCode, word: np.ndarray) -> bool:
     return not (digits.sum(axis=1) % ctx.p).any()
 
 
+def _in_dual(code: bch.BchCode, word: np.ndarray) -> bool:
+    """Whether a length-n compact-label word is orthogonal to the code.
+
+    The shifts x^i * g, i < k, span the code, so the word is in the dual iff
+    sum_j w[i+j] * g_j = 0 for every i < k: one length-k gather on the
+    subfield tables per coefficient of g.
+    """
+    ctx = code.ctx
+    acc = np.zeros(code.k, dtype=np.int16)
+    for j, c in enumerate(ctx.to_compact(code.g.coeffs)):
+        acc = ctx.add_table[acc, ctx.mul_table[c, word[j : j + code.k]]]
+    return not acc.any()
+
+
 def verify_witness(code: bch.BchCode, result: DistanceResult) -> bool:
     """Re-validate a result's witness from scratch; False on any defect."""
     if result is None or result.value is None or result.witness is None:
@@ -467,15 +481,13 @@ def verify_witness(code: bch.BchCode, result: DistanceResult) -> bool:
         return _in_code(code, word)
     if isinstance(wit, CodewordWitness):
         word = np.array(wit.word, dtype=np.int64)
-        if len(word) != code.n:
+        if len(word) != code.n or ((word < 0) | (word >= code.q)).any():
             return False
         if int((word != 0).sum()) != result.value or result.value == 0:
             return False
         if result.method in ("exhaustive", "exhaustive-dual"):
             return _in_code(code, word)
-        # membership in the dual: orthogonal to every generator row
-        gen = bch.generator_matrix(code)
-        return not gflin.combine_rows(code.ctx, word, gen.T).any()
+        return _in_dual(code, word)
     return False
 
 

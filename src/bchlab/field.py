@@ -28,8 +28,11 @@ from .polynomial import is_irreducible
 
 MAX_TABLE_Q = 1 << 12  # default cap: exp/log tables of ~2^24 entries
 
-# Cells of the (rows, 2s) digit block the exp/log fill multiplies at a time.
-_FILL_CELLS = 1 << 18
+# Cells of the (rows, 2s) digit block the exp/log fill multiplies at a time:
+# 128 KB of int64, so the allocator recycles the blocks instead of mapping
+# fresh pages for each one.  The scatter into log dominates at large q, where
+# the block size makes no measurable difference.
+_FILL_CELLS = 1 << 14
 
 
 def is_prime(n: int) -> bool:
@@ -78,6 +81,9 @@ class FieldContext:
             raise ValueError(
                 f"q={q} exceeds the table cap {max_q}; raise the cap explicitly"
             )
+        if q > 1 << 15:
+            # compact labels are int16, element indices and logs int32
+            raise ValueError(f"q={q} is too large for the int16 subfield tables")
         self.p = p
         self.s = s
         self.q = q
@@ -160,7 +166,9 @@ class FieldContext:
         The digit rows of g^i are filled in blocks of B rows, a power of two
         with B * 2s <= _FILL_CELLS: the first block by doubling, each next
         one as the previous block times M_(g^B).  A block is packed to
-        indices with one dot against p^j and scattered into log.
+        indices with one dot against p^j and scattered into log.  Both tables
+        are int32 (every index and log is below q^2); arithmetic on logs
+        widens to int64 first, since a log times q overflows int32.
         """
         p, deg, order = self.p, 2 * self.s, self.order
         block = min(order, 1 << ((_FILL_CELLS // deg).bit_length() - 1))
@@ -171,8 +179,8 @@ class FieldContext:
             rows = np.vstack((rows, rows @ step % p))
             step = step @ step % p
         pack = p ** np.arange(deg, dtype=np.int64)
-        exp = np.empty(order, dtype=np.int64)
-        log = np.full(self.q2, -1, dtype=np.int64)
+        exp = np.empty(order, dtype=np.int32)
+        log = np.full(self.q2, -1, dtype=np.int32)
         for start in range(0, order, len(rows)):
             if start:
                 rows = rows @ step
@@ -180,7 +188,7 @@ class FieldContext:
             chunk = rows[: order - start]
             idx = chunk @ pack
             exp[start : start + len(idx)] = idx
-            log[idx] = np.arange(start, start + len(idx))
+            log[idx] = np.arange(start, start + len(idx), dtype=np.int32)
         closing = chunk[-1] @ mul_g % p
         if closing[0] != 1 or closing[1:].any():
             raise AssertionError("exp table does not close")
@@ -269,14 +277,15 @@ class FieldContext:
 
     @property
     def digits(self) -> np.ndarray:
-        """(q^2, 2s) matrix of base-p digits of every element index."""
+        """(q^2, 2s) matrix of base-p digits of every element index, in the
+        smallest unsigned type that holds p - 1."""
         if self._digits is None:
+            digits = np.empty((self.q2, 2 * self.s), dtype=np.min_scalar_type(self.p - 1))
             idx = np.arange(self.q2, dtype=np.int64)
-            cols = []
-            for _ in range(2 * self.s):
-                cols.append((idx % self.p).astype(np.int16))
+            for j in range(2 * self.s):
+                digits[:, j] = idx % self.p
                 idx //= self.p
-            self._digits = np.stack(cols, axis=1)
+            self._digits = digits
         return self._digits
 
     @property
@@ -321,10 +330,10 @@ class FieldContext:
 
     @property
     def sub_index(self) -> np.ndarray:
-        """Inverse of sub_sorted: element index -> compact label, -1 outside."""
+        """Inverse of sub_sorted: element index -> int16 compact label, -1 outside."""
         if self._sub_index is None:
-            inv = np.full(self.q2, -1, dtype=np.int64)
-            inv[self.sub_sorted] = np.arange(self.q, dtype=np.int64)
+            inv = np.full(self.q2, -1, dtype=np.int16)
+            inv[self.sub_sorted] = np.arange(self.q, dtype=np.int16)
             self._sub_index = inv
         return self._sub_index
 
@@ -343,7 +352,7 @@ class FieldContext:
         if self._add_table is None:
             logs = self.log[self.sub_sorted]  # -1 at label 0, the zero element
             total = self.log_add(logs[:, None], logs[None, :])
-            self._add_table = self.sub_index[self.from_log(total)].astype(np.int16)
+            self._add_table = self.sub_index[self.from_log(total)]
         return self._add_table
 
     @property
@@ -357,7 +366,7 @@ class FieldContext:
             prod = self.sub_index[self.exp[esum]]
             prod[0, :] = 0
             prod[:, 0] = 0
-            self._mul_table = prod.astype(np.int16)
+            self._mul_table = prod
         return self._mul_table
 
     @property

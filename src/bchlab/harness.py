@@ -19,7 +19,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -290,6 +289,9 @@ def sweep(
             for h in hs:
                 tasks.append((p, s, h, opts))
     if threads > 1:
+        # imported here: it pulls in multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         # workers are forked, so fields built here are inherited, not rebuilt
         for p, s in dict.fromkeys((t[0], t[1]) for t in tasks):
             if p**s <= opts.max_table_q:

@@ -6,12 +6,17 @@ entry, the trace words of the dual code, and the generator polynomial as an
 lcm of minimal polynomials.  Addition and negation are the digit loops below,
 so no Zech logarithm enters; products, quotients and powers come from the
 exp/log tables.  It is the oracle for differential tests at small q.
+
+``in_dual`` is the dual-membership check that ``distance.verify_witness``
+made before it correlated the word with g: the word against every row of the
+full generator matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from bchlab import bch, gflin
 from bchlab.field import FieldContext
 from bchlab.polynomial import TAG_Q, Poly, minimal_polynomial, poly_lcm
 
@@ -99,3 +104,9 @@ def dual_codeword(ctx: FieldContext, h: int, a: int, b: int) -> tuple[int, ...]:
         t = trace(ctx, add(ctx, ctx.mul(a, u_h), ctx.mul(b, u_h1)))
         word.append(int(ctx.sub_index[t]))
     return tuple(word)
+
+
+def in_dual(code: bch.BchCode, word) -> bool:
+    """Whether a compact-label word is orthogonal to every generator row."""
+    gen = bch.generator_matrix(code)
+    return not gflin.combine_rows(code.ctx, np.asarray(word, dtype=np.int64), gen.T).any()

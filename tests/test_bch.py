@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bchlab import gflin
+from bchlab import bch, cosets, gflin
 from bchlab.bch import (
     build_bch,
     dual_basis,
@@ -10,9 +10,9 @@ from bchlab.bch import (
     generator_matrix,
     parity_rows,
 )
-from bchlab.field import build_field
+from bchlab.field import FieldContext, build_field
 from bchlab.harness import prime_powers_upto
-from bchlab.polynomial import Poly
+from bchlab.polynomial import Poly, minimal_polynomial
 
 
 def eval_word_on_row(ctx, word_compact, row_raw):
@@ -196,3 +196,84 @@ def test_build_errors():
         build_bch(ctx, ctx.q + 2, 0)
     with pytest.raises(ValueError):
         dual_codeword(build_bch(ctx, 4, 0), 1, 1)
+
+
+def _wrong_coset(ctx, h):
+    """A coset outside the defining set of (delta = 3, h), as large as that of h."""
+    n = ctx.q + 1
+    defining = set(cosets.coset_of(h, n, ctx.q).members)
+    defining |= set(cosets.coset_of((h + 1) % n, n, ctx.q).members)
+    size = len(cosets.coset_of(h, n, ctx.q))
+    return next(
+        c.leader
+        for c in cosets.all_cosets(n, ctx.q)
+        if len(c) == size and not defining & set(c.members)
+    )
+
+
+@pytest.mark.parametrize("p,s,h", [(3, 2, 1), (2, 3, 2), (5, 2, 3), (2, 4, 5)])
+@pytest.mark.parametrize("mutation", ["wrong-coset", "squared", "scaled"])
+def test_build_bch_rejects_wrong_generator(monkeypatch, p, s, h, mutation):
+    # each mutation breaks one clause of the root check: a wrong coset keeps
+    # g monic of the right degree but moves its roots; a square keeps the
+    # roots but doubles a factor; a scalar multiple keeps roots and degree
+    ctx = build_field(p, s)
+    n = ctx.q + 1
+    leader = cosets.coset_of(h, n, ctx.q).leader
+    wrong = _wrong_coset(ctx, h)
+
+    def patched(ctx_, e, n_):
+        m = minimal_polynomial(ctx_, e, n_)
+        if e != leader:
+            return m
+        if mutation == "wrong-coset":
+            return minimal_polynomial(ctx_, wrong, n_)
+        if mutation == "squared":
+            return m * m
+        return m.scale(int(ctx.sub_sorted[2]))
+
+    build_bch(ctx, 3, h)
+    monkeypatch.setattr(bch, "minimal_polynomial", patched)
+    with pytest.raises(AssertionError, match="defining set"):
+        build_bch(ctx, 3, h)
+
+
+class _Zech:
+    """Stand-in Zech table over 2^24 logs: an int32 formula, -1 at one index."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def __getitem__(self, k):
+        k = np.asarray(k)
+        return np.where(k == self.order // 2, -1, (7 * k + 5) % self.order).astype(np.int32)
+
+
+class _BigContext:
+    """The two attributes ``_times`` and ``log_add`` read, at q = 4096."""
+
+    order = 4096**2 - 1
+    zech = _Zech(order)
+
+
+def test_log_arithmetic_widens_int32_logs():
+    # logs near q^2 = 2^24 times q = 2^12 overflow int32; both must widen first
+    ctx = _BigContext()
+    order = ctx.order
+    rng = np.random.default_rng(5)
+    la = np.concatenate(([-1, 0, order - 1, order - 2], rng.integers(-1, order, 200)))
+    lb = np.concatenate(([order - 1, -1, order - 1, order // 2 - 2], rng.integers(-1, order, 200)))
+    la, lb = la.astype(np.int32), lb.astype(np.int32)
+    shift = order - 3
+    got = bch._times(ctx, la, shift, 4096)
+    want = [-1 if x < 0 else (4096 * int(x) + shift) % order for x in la]
+    assert got.tolist() == want
+    got = FieldContext.log_add(ctx, la, lb)
+    want = []
+    for x, y in zip(la.tolist(), lb.tolist()):
+        if x < 0 or y < 0:
+            want.append(y if x < 0 else x)
+            continue
+        z = int(ctx.zech[(y - x) % order])
+        want.append(-1 if z < 0 else (x + z) % order)
+    assert got.tolist() == want

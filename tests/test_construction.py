@@ -3,7 +3,9 @@
 ``reference/construction.py`` holds the per-entry loops that the log/Zech
 array expressions of ``bchlab.bch`` replaced, with its own digit-loop
 addition.  Both must give the same generator polynomial, parity rows,
-expanded parity matrix and trace words.
+expanded parity matrix and trace words.  Its generator-matrix dual check must
+accept and reject the same words as the correlation with g in
+``bchlab.distance``.
 """
 
 import importlib.util
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from bchlab.bch import build_bch, dual_codeword, expanded_parity_matrix, parity_rows
+from bchlab.distance import _in_dual, dual_min_distance
 from bchlab.field import build_field
 from bchlab.harness import prime_powers_upto
 
@@ -54,3 +57,22 @@ def test_matches_reference_construction(p, s, delta):
         for a, b in pairs:
             assert dual_codeword(code, a, b).word == reference.dual_codeword(ctx, h, a, b)
 
+
+
+@pytest.mark.parametrize("q,p,s", prime_powers_upto(32))
+def test_dual_check_matches_reference(q, p, s):
+    # the root-count witness (in the dual), 20 random words (almost surely
+    # not) and three random trace words (in the dual)
+    ctx = build_field(p, s)
+    for h in range(q + 1):
+        code = build_bch(ctx, 3, h)
+        witness = dual_min_distance(code, "root-count").witness.word
+        assert _in_dual(code, np.array(witness)) and reference.in_dual(code, witness)
+        rng = np.random.default_rng(100 * q + h)
+        words = list(rng.integers(0, q, size=(20, code.n)))
+        words += [
+            np.array(dual_codeword(code, int(a), int(b)).word)
+            for a, b in rng.integers(0, ctx.q2, size=(3, 2))
+        ]
+        for word in words:
+            assert _in_dual(code, word) == reference.in_dual(code, word)

@@ -241,6 +241,46 @@ def test_dual_witness_tampering_detected(p, s, h):
     assert not verify_witness(code, tampered)
 
 
+@pytest.mark.parametrize("p,s,h", [(2, 2, 1), (3, 2, 2), (5, 1, 1)])
+def test_dual_witness_every_tampering_detected(p, s, h):
+    # every nonzero symbol, changed to every other nonzero value: a word one
+    # symbol away from a dual codeword is in the dual only if a weight-1 word
+    # is, and no nonzero cyclic code has a coordinate that is always zero
+    code = code_for(p, s, h)
+    res = dual_min_distance(code, "root-count")
+    assert verify_witness(code, res)
+    word = list(res.witness.word)
+    for i in (k for k, c in enumerate(word) if c):
+        for c in range(1, code.q):
+            if c == res.witness.word[i]:
+                continue
+            word[i] = c
+            tampered = DistanceResult(
+                res.value, CodewordWitness(tuple(word), res.witness.source), res.method
+            )
+            assert not verify_witness(code, tampered)
+        word[i] = res.witness.word[i]
+
+
+@pytest.mark.parametrize("method", ["root-count", "exhaustive"])
+def test_out_of_range_labels_rejected(method):
+    # a label outside [0, q) is a defect, not an index error
+    code = code_for(3, 2, 1)
+    if method == "root-count":
+        res = dual_min_distance(code, method)
+    else:
+        res = exhaustive_min_distance(code.ctx, generator_matrix(code))
+    assert verify_witness(code, res)
+    i = next(k for k, c in enumerate(res.witness.word) if c)
+    for bad in (-1, code.q):
+        word = list(res.witness.word)
+        word[i] = bad
+        tampered = DistanceResult(
+            res.value, CodewordWitness(tuple(word), res.witness.source), res.method
+        )
+        assert not verify_witness(code, tampered)
+
+
 def test_zero_word_witness_rejected():
     code = code_for(3, 2, 1)
     zero = DistanceResult(

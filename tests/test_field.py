@@ -155,6 +155,12 @@ def test_build_errors():
         build_field(2, 0)
 
 
+def test_tables_too_large_for_int16_labels():
+    # compact labels are int16; the check comes before any table is built
+    with pytest.raises(ValueError, match="int16"):
+        FieldContext(2, 16, 1 << 16)
+
+
 def _label_pairs(q, count):
     """Every (i, j) for small q; otherwise a fixed sample plus pairs with the
     zero label."""
@@ -215,8 +221,8 @@ def test_golden_fields():
             "modulus": list(ctx.modulus),
             "alpha": ctx.alpha,
             "beta": ctx.beta,
-            "exp_sha256": hashlib.sha256(ctx.exp.tobytes()).hexdigest(),
-            "log_sha256": hashlib.sha256(ctx.log.tobytes()).hexdigest(),
+            "exp_sha256": hashlib.sha256(ctx.exp.astype(np.int64).tobytes()).hexdigest(),
+            "log_sha256": hashlib.sha256(ctx.log.astype(np.int64).tobytes()).hexdigest(),
         }
         assert got == g
 
@@ -230,7 +236,9 @@ def test_matches_reference_construction(p, s):
     modulus, alpha, exp, log = reference.field_tables(p, s)
     assert ctx.modulus == modulus and ctx.alpha == alpha
     assert np.array_equal(ctx.exp, exp) and np.array_equal(ctx.log, log)
-    assert ctx.exp.dtype == ctx.log.dtype == np.int64
+    assert ctx.exp.dtype == ctx.log.dtype == ctx.zech.dtype == np.int32
+    assert ctx.sub_index.dtype == np.int16
+    assert ctx.digits.dtype == np.min_scalar_type(p - 1)
 
 
 @pytest.mark.parametrize("p,s", [(2, 2), (3, 2), (7, 1), (2, 5)])
