@@ -17,6 +17,10 @@ Three independent routes to the same numbers:
 
 Every engine that finds a value emits a witness that ``verify_witness``
 re-validates from scratch.
+
+The engines carry no cap on q: which engine runs on which code is decided in
+``harness``.  The only limit here is ``EXHAUSTIVE_CAP`` on the number of
+words an exhaustive enumeration may visit.
 """
 
 from __future__ import annotations
@@ -30,9 +34,7 @@ import numpy as np
 from . import bch, gflin
 from .field import FieldContext
 
-COLUMN_CAP_Q = 512
-ROOT_COUNT_CAP_Q = 1024
-DUAL_ENUM_CAP_Q = 81
+# enumerated words (q^k) per exhaustive run
 EXHAUSTIVE_CAP = 1 << 26
 
 _BLOCK_ROWS = 1 << 19
@@ -389,12 +391,7 @@ def _root_count_scan(code: bch.BchCode):
     return (value if value <= n else 0), (a, b)
 
 
-def dual_min_distance(
-    code: bch.BchCode,
-    method: str = "root-count",
-    cap: int = EXHAUSTIVE_CAP,
-    max_q: int | None = None,
-) -> DistanceResult:
+def dual_min_distance(code: bch.BchCode, method: str = "root-count") -> DistanceResult:
     """Exact minimum distance of the dual code.
 
     ``root-count`` walks (a, b) symmetry classes of the trace representation
@@ -403,16 +400,10 @@ def dual_min_distance(
     """
     ctx = code.ctx
     if method == "dual-enum":
-        limit = max_q if max_q is not None else DUAL_ENUM_CAP_Q
-        if ctx.q > limit:
-            raise ValueError(f"q={ctx.q} exceeds dual-enum cap {limit}")
         basis = bch.dual_basis(code)
-        res = exhaustive_min_distance(ctx, basis, cap, via_dual_fallback=False)
+        res = exhaustive_min_distance(ctx, basis, via_dual_fallback=False)
         return DistanceResult(res.value, res.witness, "dual-enum")
     if method == "root-count":
-        limit = max_q if max_q is not None else ROOT_COUNT_CAP_Q
-        if ctx.q > limit:
-            raise ValueError(f"q={ctx.q} exceeds root-count cap {limit}")
         if code.delta != 3:
             raise ValueError("root-count requires delta = 3")
         value, ab = _root_count_scan(code)
@@ -502,8 +493,5 @@ __all__ = [
     "weight_distribution",
     "macwilliams_transform",
     "krawtchouk",
-    "COLUMN_CAP_Q",
-    "ROOT_COUNT_CAP_Q",
-    "DUAL_ENUM_CAP_Q",
     "EXHAUSTIVE_CAP",
 ]

@@ -1,11 +1,17 @@
 """Report generation and command-line interface.
 
-``analyze`` builds one code, runs the requested engines, compares every
-computed quantity with its closed-form prediction and returns a flat
-:class:`CodeRecord`.  ``sweep`` maps that over (p, s, h) grids, deterministic
-in output order and byte-identical across runs in ``--stable`` mode.
-``check_theorems`` and ``check_conjecture`` drive the same machinery for the
-cross-validation and the two open conjectures.
+``analyze`` builds one designed-distance-3 code, measures it with the
+engines of ``distance``, compares every computed quantity with its
+closed-form prediction and returns a flat :class:`CodeRecord`.  ``sweep``
+maps that over (p, s, h) grids, deterministic in output order and
+byte-identical across runs in ``--stable`` mode.  ``check_theorems`` and
+``check_conjecture`` drive the same machinery for the cross-validation and
+the two open conjectures.
+
+This module is the one place that decides which engine runs on which q:
+the engines themselves carry no q-cap.  The caps are the fields of
+:class:`AnalyzeOptions` and ``DUAL_ENUM_CAP_Q``; an engine past its cap is
+skipped, and its record carries a ``skipped-cap`` method tag.
 
 Exit codes: 0 = everything matches (findings allowed), 1 = a theorem
 prediction disagrees with ground truth, 2 = invalid invocation.
@@ -19,61 +25,30 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gcd
+from typing import get_args, get_type_hints
 
 from . import bch, distance, theory
 from .field import MAX_TABLE_Q, build_field, is_prime
 
 
+# dual enumeration cross-checks root counting up to this q; the CLI's
+# ``dual-distance --method dual-enum`` stops at it too
+DUAL_ENUM_CAP_Q = 81
+
+
 @dataclass(frozen=True)
 class AnalyzeOptions:
-    delta: int = 3
-    compute_d: bool = True
-    compute_d_dual: bool = True
-    dual_method: str = "root-count"
+    """The q-caps of ``analyze`` (an engine runs only where q <= its cap) and
+    its two optional cross-checks."""
+
+    column_cap_q: int = 512
+    root_cap_q: int = 1024
+    resolve_cap_q: int = 256  # even-q quadruple search
+    max_table_q: int = MAX_TABLE_Q
     cross_check_dual: bool = False  # also run dual-enum and require agreement
     exhaustive_check: bool = False  # also run exhaustive d and require agreement
-    resolve_even: bool = True
-    w_max: int = 5
-    column_cap_q: int = distance.COLUMN_CAP_Q
-    root_cap_q: int = distance.ROOT_COUNT_CAP_Q
-    enum_cap_q: int = distance.DUAL_ENUM_CAP_Q
-    exhaustive_cap: int = distance.EXHAUSTIVE_CAP
-    resolve_cap_q: int = 256
-    max_table_q: int = MAX_TABLE_Q
-
-
-# (name, type) pairs fix the CSV column order and the round-trip parsing
-RECORD_FIELDS: list[tuple[str, type]] = [
-    ("p", int),
-    ("s", int),
-    ("q", int),
-    ("h", int),
-    ("n", int),
-    ("delta", int),
-    ("k", int),
-    ("k_dual", int),
-    ("d", int),
-    ("d_dual", int),
-    ("predicted_k", int),
-    ("predicted_k_dual", int),
-    ("predicted_d", str),
-    ("resolved_d", int),
-    ("bounds_lo", int),
-    ("bounds_hi", int),
-    ("gcd_2h_plus_1", int),
-    ("class", str),
-    ("locality", int),
-    ("d_optimal", bool),
-    ("k_optimal", bool),
-    ("match", bool),
-    ("finding", str),
-    ("method_d", str),
-    ("method_d_dual", str),
-    ("error", str),
-    ("runtime_ms", int),
-]
 
 
 @dataclass
@@ -106,18 +81,12 @@ class CodeRecord:
     error: str = ""
     runtime_ms: int | None = None
 
-    def get(self, name: str):
-        return getattr(self, "class_" if name == "class" else name)
-
-    def set(self, name: str, value) -> None:
-        setattr(self, "class_" if name == "class" else name, value)
-
 
 def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> CodeRecord:
-    """Construct one code, measure it, and compare against predictions."""
+    """Construct one delta = 3 code, measure it, and compare against predictions."""
     opts = options or AnalyzeOptions()
     q = p**s
-    rec = CodeRecord(p=p, s=s, q=q, h=h, n=q + 1, delta=opts.delta)
+    rec = CodeRecord(p=p, s=s, q=q, h=h, n=q + 1, delta=3)
     t0 = time.perf_counter()
     mismatches: list[str] = []
     findings: list[str] = []
@@ -128,76 +97,61 @@ def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> Co
         return rec
 
     ctx = build_field(p, s, opts.max_table_q)
-    code = bch.build_bch(ctx, opts.delta, h)
+    code = bch.build_bch(ctx, 3, h)
     rec.k = code.k
     rec.k_dual = code.n - code.k
     rec.gcd_2h_plus_1 = gcd(2 * h + 1, q + 1)
 
-    if opts.delta == 3:
-        rec.predicted_k = theory.predict_dimension(q, h)
-        rec.predicted_k_dual = theory.predict_dual_dimension(q, h)
-        if rec.predicted_k != rec.k:
-            mismatches.append(f"dimension: computed {rec.k}, predicted {rec.predicted_k}")
-        if rec.predicted_k_dual != rec.k_dual:
-            mismatches.append(
-                f"dual dimension: computed {rec.k_dual}, predicted {rec.predicted_k_dual}"
-            )
-        pred = theory.predict_min_distance(
-            ctx, h, resolve=opts.resolve_even and q <= opts.resolve_cap_q
+    rec.predicted_k = theory.predict_dimension(q, h)
+    rec.predicted_k_dual = theory.predict_dual_dimension(q, h)
+    if rec.predicted_k != rec.k:
+        mismatches.append(f"dimension: computed {rec.k}, predicted {rec.predicted_k}")
+    if rec.predicted_k_dual != rec.k_dual:
+        mismatches.append(
+            f"dual dimension: computed {rec.k_dual}, predicted {rec.predicted_k_dual}"
         )
-        rec.predicted_d = pred.outcome
-        rec.resolved_d = pred.resolved
-        bounds = theory.dual_distance_bounds(q, h)
-        if bounds is not None:
-            rec.bounds_lo, rec.bounds_hi = bounds
+    pred = theory.predict_min_distance(ctx, h, resolve=q <= opts.resolve_cap_q)
+    rec.predicted_d = pred.outcome
+    rec.resolved_d = pred.resolved
+    bounds = theory.dual_distance_bounds(q, h)
+    if bounds is not None:
+        rec.bounds_lo, rec.bounds_hi = bounds
 
     # ground truth: minimum distance
-    if opts.compute_d:
-        if q <= opts.column_cap_q:
-            res_d = distance.min_distance_by_columns(code, opts.w_max)
-            rec.method_d = res_d.method
-            rec.d = res_d.value
-            if res_d.value is not None and not distance.verify_witness(code, res_d):
-                errors.append("column-search witness failed re-validation")
-            if (
-                opts.exhaustive_check
-                and rec.k
-                and q**code.k <= opts.exhaustive_cap
-            ):
-                res_e = distance.exhaustive_min_distance(
-                    ctx, bch.generator_matrix(code), opts.exhaustive_cap
+    if q <= opts.column_cap_q:
+        res_d = distance.min_distance_by_columns(code)
+        rec.method_d = res_d.method
+        rec.d = res_d.value
+        if res_d.value is not None and not distance.verify_witness(code, res_d):
+            errors.append("column-search witness failed re-validation")
+        if opts.exhaustive_check and rec.k and q**code.k <= distance.EXHAUSTIVE_CAP:
+            res_e = distance.exhaustive_min_distance(ctx, bch.generator_matrix(code))
+            if res_e.value != rec.d:
+                errors.append(
+                    f"engine disagreement: exhaustive d={res_e.value}, "
+                    f"column-search d={rec.d}"
                 )
-                if res_e.value != rec.d:
-                    errors.append(
-                        f"engine disagreement: exhaustive d={res_e.value}, "
-                        f"column-search d={rec.d}"
-                    )
-        else:
-            rec.method_d = "skipped-cap"
+    else:
+        rec.method_d = "skipped-cap"
 
     # ground truth: dual distance
-    if opts.compute_d_dual and opts.delta == 3:
-        method = opts.dual_method
-        cap_ok = (method == "root-count" and q <= opts.root_cap_q) or (
-            method == "dual-enum" and q <= opts.enum_cap_q
-        )
-        if cap_ok:
-            res_dd = distance.dual_min_distance(code, method)
-            rec.method_d_dual = res_dd.method
-            rec.d_dual = res_dd.value
-            if not distance.verify_witness(code, res_dd):
-                errors.append("dual witness failed re-validation")
-            if opts.cross_check_dual and method != "dual-enum" and q <= opts.enum_cap_q:
-                res_de = distance.dual_min_distance(code, "dual-enum")
-                if res_de.value != rec.d_dual:
-                    errors.append(
-                        f"engine disagreement: dual-enum {res_de.value}, "
-                        f"{method} {rec.d_dual}"
-                    )
-                else:
-                    rec.method_d_dual = f"{res_dd.method}+dual-enum"
-        else:
-            rec.method_d_dual = "skipped-cap"
+    if q <= opts.root_cap_q:
+        res_dd = distance.dual_min_distance(code, "root-count")
+        rec.method_d_dual = res_dd.method
+        rec.d_dual = res_dd.value
+        if not distance.verify_witness(code, res_dd):
+            errors.append("dual witness failed re-validation")
+        if opts.cross_check_dual and q <= DUAL_ENUM_CAP_Q:
+            res_de = distance.dual_min_distance(code, "dual-enum")
+            if res_de.value != rec.d_dual:
+                errors.append(
+                    f"engine disagreement: dual-enum {res_de.value}, "
+                    f"root-count {rec.d_dual}"
+                )
+            else:
+                rec.method_d_dual = "root-count+dual-enum"
+    else:
+        rec.method_d_dual = "skipped-cap"
 
     # derived audit columns
     if rec.d is not None:
@@ -220,7 +174,7 @@ def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> Co
             rec.k_optimal = audit.k_optimal
 
     # prediction vs ground truth
-    if opts.delta == 3 and rec.d is not None:
+    if rec.d is not None:
         if rec.predicted_d == "3" and rec.d != 3:
             mismatches.append(f"distance: computed {rec.d}, predicted 3")
         elif rec.predicted_d == "4" and rec.d != 4:
@@ -241,8 +195,7 @@ def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> Co
             )
     # LRC optimality theorem: gcd = 1, m >= 4, q > 4h on a non-degenerate offset
     if (
-        opts.delta == 3
-        and rec.bounds_hi is not None
+        rec.bounds_hi is not None
         and rec.gcd_2h_plus_1 == 1
         and (q + 1 - rec.bounds_hi) >= 4
         and q > 4 * h
@@ -332,6 +285,15 @@ def check_theorems(
 CONJECTURES = ("dual-distance-q-p", "even-s-amds")
 
 
+def _cap_note(q: int, opts: AnalyzeOptions, engine: str, cap: int) -> str:
+    """The cap that leaves q unreached, the table cap first; "" if none does."""
+    if q > opts.max_table_q:
+        return f"q={q} exceeds the table cap {opts.max_table_q}"
+    if q > cap:
+        return f"q={q} exceeds the {engine} cap {cap}"
+    return ""
+
+
 def check_conjecture(
     name: str,
     p_max: int = 13,
@@ -347,7 +309,7 @@ def check_conjecture(
     if name == "dual-distance-q-p":
         s_val = 2 if s is None else s
         for p in range(3, p_max + 1):
-            if not is_prime(p) or p == 2:
+            if not is_prime(p):
                 continue
             q = p**s_val
             h = (p - 1) // 2
@@ -366,9 +328,9 @@ def check_conjecture(
             if p == 3:
                 row["status"] = "UNREACHED"
                 row["note"] = "h=1 narrow-sense case is covered by the NMDS family"
-            elif q > opts.root_cap_q or q > opts.max_table_q:
+            elif note := _cap_note(q, opts, "root-count", opts.root_cap_q):
                 row["status"] = "UNREACHED"
-                row["note"] = f"q={q} exceeds the root-count cap"
+                row["note"] = note
             else:
                 rec = analyze(p, s_val, h, opts)
                 row["d"] = rec.d
@@ -395,9 +357,9 @@ def check_conjecture(
         if s_val % 2 == 1 or s_val < 6:
             row["status"] = "UNREACHED"
             row["note"] = "conjecture concerns even s >= 6"
-        elif q > opts.column_cap_q or q > opts.max_table_q:
+        elif note := _cap_note(q, opts, "column-search", opts.column_cap_q):
             row["status"] = "UNREACHED"
-            row["note"] = f"q={q} exceeds the column-search cap"
+            row["note"] = note
         else:
             rec = analyze(2, s_val, 4, opts)
             row["d"] = rec.d
@@ -412,11 +374,20 @@ def check_conjecture(
 # ---------------------------------------------------------------------------
 
 
-_COLUMN_TYPES = dict(RECORD_FIELDS)
+def _cell_type(hint) -> type:
+    """The type a report cell parses to: int for ``int | None``."""
+    return next(t for t in get_args(hint) or (hint,) if t is not type(None))
+
+
+_HINTS = get_type_hints(CodeRecord)
+# report column -> (CodeRecord attribute, cell type), in column order; the
+# attribute ``class_`` is the column ``class``
+_COLUMNS = {f.name.rstrip("_"): (f.name, _cell_type(_HINTS[f.name])) for f in fields(CodeRecord)}
+RECORD_FIELDS: list[tuple[str, type]] = [(name, typ) for name, (_, typ) in _COLUMNS.items()]
 
 
 def _field_names(stable: bool) -> list[str]:
-    names = [n for n, _ in RECORD_FIELDS]
+    names = list(_COLUMNS)
     if stable:
         names.remove("runtime_ms")
     return names
@@ -440,18 +411,31 @@ def _from_cell(text: str, typ: type):
     return text
 
 
+def _row(rec: CodeRecord, names: list[str]) -> dict:
+    return {name: getattr(rec, _COLUMNS[name][0]) for name in names}
+
+
+def _record(cells) -> CodeRecord:
+    """A record from (column, value) pairs; columns must be checked already."""
+    rec = CodeRecord(p=0, s=0, q=0, h=0, n=0, delta=0)
+    for name, value in cells:
+        setattr(rec, _COLUMNS[name][0], value)
+    return rec
+
+
 def records_to_csv(records: list[CodeRecord], stable: bool = False) -> str:
     names = _field_names(stable)
+    attrs = [_COLUMNS[name][0] for name in names]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(names)
     for rec in records:
-        writer.writerow([_to_cell(rec.get(n)) for n in names])
+        writer.writerow([_to_cell(getattr(rec, attr)) for attr in attrs])
     return buf.getvalue()
 
 
 def _check_column(name: str) -> None:
-    if name not in _COLUMN_TYPES:
+    if name not in _COLUMNS:
         raise ValueError(f"unknown report column {name!r}")
 
 
@@ -460,29 +444,23 @@ def csv_to_records(text: str) -> list[CodeRecord]:
     header = next(reader)
     for name in header:
         _check_column(name)
-    out = []
-    for row in reader:
-        rec = CodeRecord(p=0, s=0, q=0, h=0, n=0, delta=0)
-        for name, cell in zip(header, row):
-            rec.set(name, _from_cell(cell, _COLUMN_TYPES[name]))
-        out.append(rec)
-    return out
+    return [
+        _record((name, _from_cell(cell, _COLUMNS[name][1])) for name, cell in zip(header, row))
+        for row in reader
+    ]
 
 
 def records_to_json(records: list[CodeRecord], stable: bool = False) -> str:
     names = _field_names(stable)
-    rows = [{n: rec.get(n) for n in names} for rec in records]
-    return json.dumps(rows, indent=2) + "\n"
+    return json.dumps([_row(rec, names) for rec in records], indent=2) + "\n"
 
 
 def json_to_records(text: str) -> list[CodeRecord]:
     out = []
     for row in json.loads(text):
-        rec = CodeRecord(p=0, s=0, q=0, h=0, n=0, delta=0)
-        for name, value in row.items():
+        for name in row:
             _check_column(name)
-            rec.set(name, value)
-        out.append(rec)
+        out.append(_record(row.items()))
     return out
 
 
@@ -505,8 +483,7 @@ def _print_outcome(records: list[CodeRecord]) -> int:
     if bad:
         for rec in bad:
             print(f"MISMATCH q={rec.q} h={rec.h}: {rec.error}", file=sys.stderr)
-            row = {name: rec.get(name) for name, _ in RECORD_FIELDS}
-            print(json.dumps(row), file=sys.stderr)
+            print(json.dumps(_row(rec, list(_COLUMNS))), file=sys.stderr)
         return 1
     return 0
 
@@ -626,6 +603,9 @@ def _dispatch(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
         return 0
 
     if args.command == "dual-distance":
+        cap = opts.root_cap_q if args.method == "root-count" else DUAL_ENUM_CAP_Q
+        if args.p**args.s > cap:  # before the field is built: that alone takes seconds
+            raise ValueError(f"q={args.p**args.s} exceeds {args.method} cap {cap}")
         ctx = build_field(args.p, args.s, opts.max_table_q)
         code = bch.build_bch(ctx, 3, args.h)
         res = distance.dual_min_distance(code, args.method)

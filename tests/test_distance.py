@@ -159,12 +159,8 @@ def test_dual_engines_agree_all_offsets(p, s):
         assert enum.value == root.value, (ctx.q, h)
 
 
-def test_dual_distance_caps_and_method_validation():
+def test_dual_distance_method_validation():
     code = code_for(3, 2, 1)
-    with pytest.raises(ValueError):
-        dual_min_distance(code, "dual-enum", max_q=5)
-    with pytest.raises(ValueError):
-        dual_min_distance(code, "root-count", max_q=5)
     with pytest.raises(ValueError):
         dual_min_distance(code, "weights")
     with pytest.raises(ValueError):

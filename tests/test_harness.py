@@ -9,6 +9,7 @@ import pytest
 import bchlab
 from bchlab.field import build_field
 from bchlab.harness import (
+    RECORD_FIELDS,
     AnalyzeOptions,
     CodeRecord,
     analyze,
@@ -68,6 +69,14 @@ def test_analyze_skips_over_engine_caps():
     assert rec.d_dual is None and rec.method_d_dual == "skipped-cap"
     assert rec.k == 6  # construction still runs
     assert rec.match
+
+
+def test_raised_root_cap_measures():
+    # past the default root-count cap of 1024: a raised cap runs the engine
+    rec = analyze(1031, 1, 5, AnalyzeOptions(root_cap_q=1031))
+    assert rec.d_dual == 1020 and rec.method_d_dual == "root-count"
+    assert rec.method_d == "skipped-cap"
+    assert rec.match and rec.error == ""
 
 
 def test_analyze_cross_checks():
@@ -204,6 +213,21 @@ def test_conjecture_even_s_amds():
     assert row["status"] == "UNREACHED"
 
 
+def test_conjecture_notes_name_the_binding_cap():
+    opts = AnalyzeOptions(max_table_q=100)
+    rows = check_conjecture("dual-distance-q-p", p_max=13, options=opts)
+    by_p = {r["p"]: r for r in rows}
+    assert by_p[7]["status"] == "CONFIRMED"
+    assert by_p[11]["status"] == "UNREACHED"
+    assert by_p[11]["note"] == "q=121 exceeds the table cap 100"
+    rows = check_conjecture("dual-distance-q-p", p_max=7, options=AnalyzeOptions(root_cap_q=30))
+    assert rows[-1]["note"] == "q=49 exceeds the root-count cap 30"
+    (row,) = check_conjecture("even-s-amds", s=6, options=AnalyzeOptions(max_table_q=32))
+    assert row["status"] == "UNREACHED" and row["note"] == "q=64 exceeds the table cap 32"
+    (row,) = check_conjecture("even-s-amds", s=6, options=AnalyzeOptions(column_cap_q=32))
+    assert row["note"] == "q=64 exceeds the column-search cap 32"
+
+
 def test_conjecture_unknown_name():
     with pytest.raises(ValueError):
         check_conjecture("riemann")
@@ -227,6 +251,23 @@ def test_cli_code_json(capsys):
 def test_cli_dual_distance(capsys):
     assert main(["dual-distance", "--p", "3", "--s", "2", "--h", "1"]) == 0
     assert "d_dual = 6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--p", "1031", "--s", "1", "--h", "5"], "q=1031 exceeds root-count cap 1024"),
+        (
+            ["--p", "83", "--s", "1", "--h", "1", "--method", "dual-enum"],
+            "q=83 exceeds dual-enum cap 81",
+        ),
+    ],
+    ids=["root-count", "dual-enum"],
+)
+def test_cli_dual_distance_past_cap_exits_2(argv, message, capsys):
+    assert main(["dual-distance"] + argv) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n" and out.out == ""
 
 
 def test_cli_sweep_and_outputs(tmp_path, capsys):
@@ -283,10 +324,16 @@ def test_cli_check_conjecture(capsys):
     assert "CONFIRMED" in out and "UNREACHED" in out
 
 
-def test_record_get_set_class_alias():
-    rec = CodeRecord(p=3, s=1, q=3, h=0, n=4, delta=3)
-    rec.set("class", "MDS")
-    assert rec.get("class") == "MDS" and rec.class_ == "MDS"
+def test_class_column_round_trip():
+    rec = CodeRecord(p=3, s=1, q=3, h=0, n=4, delta=3, class_="MDS")
+    text = records_to_csv([rec])
+    header = text.splitlines()[0].split(",")
+    assert "class" in header and "class_" not in header
+    assert header == [name for name, _ in RECORD_FIELDS]
+    assert csv_to_records(text) == [rec]
+    rows = json.loads(records_to_json([rec]))
+    assert rows[0]["class"] == "MDS" and "class_" not in rows[0]
+    assert json_to_records(json.dumps(rows)) == [rec]
 
 
 def test_mismatch_exit_code_and_record_dump(capsys):
