@@ -43,9 +43,9 @@ class AnalyzeOptions:
     """The q-caps of ``analyze`` (an engine runs only where q <= its cap) and
     its two optional cross-checks."""
 
-    column_cap_q: int = 512
-    root_cap_q: int = 1024
-    resolve_cap_q: int = 256  # even-q quadruple search
+    column_cap_q: int = MAX_TABLE_Q
+    root_cap_q: int = MAX_TABLE_Q
+    resolve_cap_q: int = MAX_TABLE_Q  # even-q quadruple search
     max_table_q: int = MAX_TABLE_Q
     cross_check_dual: bool = False  # also run dual-enum and require agreement
     exhaustive_check: bool = False  # also run exhaustive d and require agreement

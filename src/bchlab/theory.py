@@ -13,7 +13,8 @@ Key facts implemented:
 * for gcd(2h+1, q+1) = 1 the distance is 4 exactly when four pairwise
   distinct x, y, z, w in U_{q+1} satisfy
   E(x,z)/E(x,w) = E(y,z)/E(y,w) with E the divided difference of t^(2h+1)
-  (searched by sorting the Zech-log ratios of every (z, w) pair);
+  (searched by sorting the Zech-log ratios of the pairs (1, w) only, since
+  a rotation of U_{q+1} moves any quadruple onto such a pair);
 * the dual distance lies in [q-2h-1, q+1-m] for non-degenerate h, where m is
   the larger of gcd(2h, q+1) and gcd(2h+2, q+1);
 * Singleton-like and Cadambe-Mazumdar (t = 1, Singleton estimate) bounds for
@@ -98,13 +99,13 @@ def ratio_equation_holds(
     return lhs == rhs
 
 
-def _log_differences(ctx: FieldContext, e: np.ndarray) -> np.ndarray:
-    """(n, n) table of log(alpha^e[x] - alpha^e[z]) for x != z.
+def _log_differences(ctx: FieldContext, e: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """(len(zs), n) table of log(alpha^e[x] - alpha^e[z]) for z in zs, x != z.
 
     alpha^a - alpha^b = alpha^a + alpha^(b + m) with alpha^m = -1, one
-    ``log_add``.  Diagonal entries are meaningless.
+    ``log_add``.  Entries with x = z are meaningless.
     """
-    return ctx.log_add(e[:, None], (e[None, :] + ctx.log_minus_one) % ctx.order)
+    return ctx.log_add(e[None, :], (e[zs][:, None] + ctx.log_minus_one) % ctx.order)
 
 
 def find_ratio_quadruple(ctx: FieldContext, h: int):
@@ -117,14 +118,20 @@ def find_ratio_quadruple(ctx: FieldContext, h: int):
     deterministic.  Returns None when no quadruple exists (q even, distance
     5) or when U_{q+1} has fewer than 4 elements.
 
+    Only the pairs with z = beta^0 = 1 are scanned, and that loses nothing:
+    E is homogeneous of degree 2h, so E(tx, tz) = t^(2h) E(x, z) and the
+    rotation of all four points by t = z^(-1) in U_{q+1} keeps the ratio
+    equation and moves z to 1; those pairs come first in lex order, so the
+    first hit is the one a scan of every pair would return.  The None case
+    thus clears n - 1 pairs instead of n(n-1)/2.
+
     Everything runs on discrete logs: with X[j] = log beta^j and
-    P = (2h+1) X, the table L[x, z] = log E(x, z) is a difference of two
-    Zech-log tables, and the ratios of a pair are L[:, z] - L[:, w] mod
-    q^2 - 1.  Pairs are scanned in blocks of rows; each ratio is packed with
-    its x into one integer key, so one sort per row puts equal ratios next to
-    each other in ascending x.  The first block holds the pairs with z = 0,
-    and blocks double up to ``_QUADRUPLE_CELLS`` cells, so an early hit stays
-    cheap.
+    P = (2h+1) X, L[x, z] = log E(beta^x, beta^z) is a difference of two
+    Zech-log tables, and the ratios of the pair (1, beta^w) are
+    L[:, 0] - L[:, w] mod q^2 - 1.  Those rows are built in blocks of w that
+    start at one row and double up to ``_QUADRUPLE_CELLS`` cells, so an early
+    hit stays cheap; each ratio is packed with its x into one integer key, so
+    one sort per row puts equal ratios next to each other in ascending x.
     """
     q, order = ctx.q, ctx.order
     n = q + 1
@@ -134,23 +141,23 @@ def find_ratio_quadruple(ctx: FieldContext, h: int):
         raise ValueError("quadruple search requires gcd(2h+1, q+1) = 1")
     xs = np.arange(n, dtype=np.int64)
     X = (q - 1) * xs
-    # t -> t^(2h+1) permutes U_{q+1}, so no off-diagonal difference is zero
-    L = _log_differences(ctx, (2 * h + 1) * X % order) - _log_differences(ctx, X)
-    cols = np.ascontiguousarray(L.T)  # cols[z] = L[:, z]
+    P = (2 * h + 1) * X % order
+
+    def log_e(zs: np.ndarray) -> np.ndarray:
+        # [b, x] = log E(x, beta^zs[b]); t -> t^(2h+1) permutes U_{q+1}, so
+        # no difference with x != z is zero
+        return _log_differences(ctx, P, zs) - _log_differences(ctx, X, zs)
+
+    base = log_e(xs[:1])[0]
     bits = n.bit_length()
     mask = (1 << bits) - 1
-    # pair k of the lex order is (z, z + 1 + k - first[z])
-    first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    n_pairs = int(first[-1])
     max_rows = max(1, _QUADRUPLE_CELLS // n)
-    lo, rows = 0, min(n - 1, max_rows)
-    while lo < n_pairs:
-        k = np.arange(lo, min(lo + rows, n_pairs))
-        zs = np.searchsorted(first, k, side="right") - 1
-        ws = zs + 1 + k - first[zs]
-        ratio = (cols[zs] - cols[ws]) % order
-        ratio[np.arange(len(k)), zs] = -1  # x = z and x = w take no part
-        ratio[np.arange(len(k)), ws] = -2
+    lo, rows = 1, 1
+    while lo < n:
+        ws = xs[lo : lo + rows]
+        ratio = (base - log_e(ws)) % order
+        ratio[:, 0] = -1  # x = z and x = w take no part
+        ratio[np.arange(len(ws)), ws] = -2
         keys = np.sort((ratio << bits) | xs, axis=1)
         same = (keys[:, 1:] >> bits) == (keys[:, :-1] >> bits)
         cand = np.where(same, keys[:, 1:] & mask, n)
@@ -159,8 +166,8 @@ def find_ratio_quadruple(ctx: FieldContext, h: int):
             r = int(hit[0])
             pos = int(np.argmin(cand[r]))
             yi, xi = (int(keys[r, i]) & mask for i in (pos, pos + 1))
-            return _checked_quadruple(ctx, h, (yi, xi, int(zs[r]), int(ws[r])))
-        lo += len(k)
+            return _checked_quadruple(ctx, h, (yi, xi, 0, int(ws[r])))
+        lo += rows
         rows = min(2 * rows, max_rows)
     return None
 

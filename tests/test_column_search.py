@@ -2,8 +2,11 @@
 
 ``reference/column_search.py`` holds the per-subset ``rref`` loop that the
 collision kernel replaced; both must return equal ``DistanceResult``s (value,
-lex-first columns, coefficients and ``searched_up_to``).  The golden file was
-recorded from that loop.
+lex-first columns, coefficients and ``searched_up_to``).  The golden file
+``column_witnesses.json`` was recorded from that loop;
+``column_witnesses_q64.json`` pins every delta = 3 witness with q <= 64 as
+the full lex scan gave it before the search was restricted to the sets
+through column 0.
 """
 
 import importlib.util
@@ -12,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from bchlab import bch
 from bchlab.bch import build_bch, expanded_parity_matrix
 from bchlab.distance import min_distance_by_columns, verify_witness
 from bchlab.field import build_field
@@ -20,6 +24,7 @@ from bchlab.harness import prime_powers_upto
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "column_witnesses.json"
+GOLDEN_Q64 = HERE / "golden" / "column_witnesses_q64.json"
 
 # loaded by path: a top-level ``reference`` name would clash with other
 # modules of that name on sys.path
@@ -87,3 +92,39 @@ def test_golden_witnesses():
         want = {k: case[k] for k in got}
         assert got == want, (case["p"], case["s"], case["h"])
         assert verify_witness(code, res)
+
+
+def test_golden_witnesses_every_delta3_code_q64():
+    lines = []
+    for code in codes(64, 3):
+        res = min_distance_by_columns(code)
+        wit = res.witness
+        row = {
+            "p": code.ctx.p,
+            "s": code.ctx.s,
+            "h": code.h,
+            "value": res.value,
+            "cols": list(wit.cols) if wit else None,
+            "coeffs": list(wit.coeffs) if wit else None,
+        }
+        lines.append(json.dumps(row))
+    assert "[\n  " + ",\n  ".join(lines) + "\n]\n" == GOLDEN_Q64.read_text()
+
+
+def test_d5_code_at_q512_clears():
+    # q/2 - 1 is a d = 5 offset; only the scan through column 0 makes the
+    # w = 4 level quadratic in n (a full scan clears every 4-subset)
+    code = build_bch(build_field(2, 9), 3, 255)
+    res = min_distance_by_columns(code)
+    assert res.value == 5 and res.witness.cols == (0, 1, 2, 3, 4)
+    assert verify_witness(code, res)
+
+
+def test_non_cyclic_matrix_rejected(monkeypatch):
+    code = build_bch(build_field(2, 4), 3, 3)
+    mat = expanded_parity_matrix(code)
+    perm = list(range(code.n))
+    perm[1], perm[2] = perm[2], perm[1]
+    monkeypatch.setattr(bch, "expanded_parity_matrix", lambda code: mat[:, perm])
+    with pytest.raises(AssertionError, match="cyclic shift"):
+        min_distance_by_columns(code)

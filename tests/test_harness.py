@@ -72,8 +72,9 @@ def test_analyze_skips_over_engine_caps():
 
 
 def test_raised_root_cap_measures():
-    # past the default root-count cap of 1024: a raised cap runs the engine
-    rec = analyze(1031, 1, 5, AnalyzeOptions(root_cap_q=1031))
+    # a root-count cap at q runs the engine, and a column-search cap below q
+    # skips its engine
+    rec = analyze(1031, 1, 5, AnalyzeOptions(column_cap_q=512, root_cap_q=1031))
     assert rec.d_dual == 1020 and rec.method_d_dual == "root-count"
     assert rec.method_d == "skipped-cap"
     assert rec.match and rec.error == ""
@@ -256,7 +257,7 @@ def test_cli_dual_distance(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--p", "1031", "--s", "1", "--h", "5"], "q=1031 exceeds root-count cap 1024"),
+        (["--p", "4099", "--s", "1", "--h", "5"], "q=4099 exceeds root-count cap 4096"),
         (
             ["--p", "83", "--s", "1", "--h", "1", "--method", "dual-enum"],
             "q=83 exceeds dual-enum cap 81",
