@@ -38,7 +38,10 @@ from .field import FieldContext
 EXHAUSTIVE_CAP = 1 << 26
 
 _BLOCK_ROWS = 1 << 19
-# reduced cells (prefixes x rows x columns) per column-search block: a few MB
+# reduced cells (prefixes x rows x columns) per column-search block: the
+# first block holds about _COLLISION_START (one prefix from q = 1024 on), and
+# each next block twice as many, up to _COLLISION_CELLS (a few MB)
+_COLLISION_START = 1 << 12
 _COLLISION_CELLS = 1 << 18
 # histogram cells per root-count block: small enough that the allocator
 # recycles its arrays instead of mapping fresh pages on every call
@@ -99,28 +102,39 @@ def _first_collision(ctx: FieldContext, imgs: np.ndarray, lo: np.ndarray) -> tup
     """First (b, k, l) with lo[b] < k < l and imgs[b][:, l] a nonzero multiple
     of imgs[b][:, k]: the smallest b, then the smallest such k, then l.
 
-    Each column is scaled so its first nonzero entry is 1 and packed into
-    integer keys; a stable sort per batch row puts equal images next to each
-    other in ascending column order.
+    Each column is scaled so its first nonzero entry is 1 and packed into an
+    integer key; sorting the keys of each batch row puts equal images next
+    to each other in ascending column order.
     """
-    _, rows, n = imgs.shape
+    count, rows, n = imgs.shape
+    batch, col = np.arange(count)[:, None], np.arange(n)
     piv = (imgs != 0).argmax(axis=1)
-    lead = np.take_along_axis(imgs, piv[:, None, :], axis=1)
-    unit = _gather(ctx.mul_table, ctx.inv_table[lead], imgs).astype(np.int64)
-    # as many rows per 63-bit key word as fit; one word for 4 rows up to q = 2^15
+    lead = imgs[batch, piv, col]
+    unit = _gather(ctx.mul_table, ctx.inv_table[lead][:, None, :], imgs).astype(np.int64)
     bits = max(1, (ctx.q - 1).bit_length())
-    per_word = 63 // bits
-    keys = np.stack(
-        [
-            sum(unit[:, r] << (bits * (r - r0)) for r in range(r0, min(r0 + per_word, rows)))
-            for r0 in range(0, rows, per_word)
-        ]
-    )
-    order = np.lexsort(keys, axis=-1)
-    ranked = np.take_along_axis(keys, order[None], axis=-1)
-    same = (ranked[:, :, 1:] == ranked[:, :, :-1]).all(axis=0)
-    # equal images sit in ascending column order, so a valid k (> lo) is
-    # followed by its smallest partner l
+    col_bits = (n - 1).bit_length()
+    if rows * bits + col_bits <= 63:
+        # one word per column with the column index in its low bits (4 rows
+        # up to q = 4096): a plain sort of the words keeps equal images in
+        # column order
+        packed = col + sum(unit[:, r] << (col_bits + bits * r) for r in range(rows))
+        packed.sort(axis=-1)
+        order = packed & ((1 << col_bits) - 1)
+        ranked = packed >> col_bits
+        same = ranked[:, 1:] == ranked[:, :-1]
+    else:
+        # as many rows per 63-bit word as fit, and a stable sort over the words
+        per_word = 63 // bits
+        keys = np.stack(
+            [
+                sum(unit[:, r] << (bits * (r - r0)) for r in range(r0, min(r0 + per_word, rows)))
+                for r0 in range(0, rows, per_word)
+            ]
+        )
+        order = np.lexsort(keys, axis=-1)
+        ranked = keys[:, batch, order]
+        same = (ranked[:, :, 1:] == ranked[:, :, :-1]).all(axis=0)
+    # a valid k (> lo) is followed by its smallest partner l
     cand = np.where(same & (order[:, :-1] > lo[:, None]), order[:, :-1], n)
     hit = np.nonzero(cand.min(axis=1) < n)[0]
     if not hit.size:
@@ -130,55 +144,78 @@ def _first_collision(ctx: FieldContext, imgs: np.ndarray, lo: np.ndarray) -> tup
     return b, int(order[b, pos]), int(order[b, pos + 1])
 
 
-def _lex_first_dependent(ctx: FieldContext, mat: np.ndarray, w: int) -> tuple | None:
-    """First (lex) w-subset of dependent columns, given that no smaller
-    dependent subset exists and that the cyclic shift of the columns maps the
-    row space of ``mat`` onto itself.  Returns (cols, coeffs) or None.
+def _prefixes(n: int, top: int):
+    """Column-search prefixes in search order: by level w, then lex.
+
+    A level-w prefix holds the first w - 2 columns of a candidate set: ()
+    for w = 2, (0,) for w = 3 and (0,) + rest + (j,) for 4 <= w <= top.
+    """
+    if top >= 2:
+        yield ()
+    if top >= 3 and n >= 3:
+        yield (0,)
+    for w in range(4, top + 1):
+        for rest in itertools.combinations(range(1, n - 3), w - 4):
+            head = (0,) + rest
+            for j in range(head[-1] + 1, n - 2):
+                yield head + (j,)
+
+
+def _lex_first_dependent(ctx: FieldContext, mat: np.ndarray, top: int) -> tuple | None:
+    """Lex-first dependent set of the smallest size w in 2..top, given that
+    no column is zero and that the cyclic shift of the columns maps the row
+    space of ``mat`` onto itself.  Returns (cols, coeffs) or None.
 
     Under that shift a dependent set stays dependent, so every dependent set
     has a shift that contains column 0, and the lex-first one starts at 0.
     From w = 3 on only the prefixes with first column 0 are therefore
     scanned: O(n^(w-3)) prefixes instead of O(n^(w-2)).
 
-    Every (w-2)-prefix P is independent, so {P, k, l} is dependent iff the
-    images of columns k and l modulo span(P) are projectively equal.  The
-    prefixes are walked in lex order: each head (the first w-3 prefix
-    columns) is eliminated once, then its successors j are eliminated in
-    blocks of at most ``_COLLISION_CELLS`` cells.  The first collision is the
-    lex-first dependent set; its relation comes from the kernel of the w
-    found columns, scaled so that the last coefficient is -1.
+    For an independent prefix P ending at column j, {P, k, l} with
+    j < k < l is dependent iff the images of columns k and l modulo span(P)
+    are projectively equal.  The prefixes of every level come in one stream
+    (``_prefixes``), walked in blocks of cells that start at
+    ``_COLLISION_START`` and double up to ``_COLLISION_CELLS``.  Each block
+    reduces each of its heads (the prefix without j) once, keeping the last
+    head's reduction for the next block, eliminates all its j's in one
+    batched call, and looks for the first collision over all its rows at
+    once.
+
+    The first collision in stream order is the answer.  Let d be the
+    smallest size of a dependent set.  A row of level w <= d has a prefix of
+    w - 2 < d columns, which is independent, so its collisions are exactly
+    its dependent sets; rows of level w < d therefore have none.  A row of
+    level w > d may have a dependent prefix and report a false collision,
+    but it comes after every row of level d, and when d <= top some row of
+    level d holds the lex-first dependent set.  The relation comes from the
+    kernel of the w found columns, scaled so that the last coefficient is -1.
     """
     rows, n = mat.shape
-    if w == 1:
-        zero = np.nonzero(~mat.any(axis=0))[0]
-        return ((int(zero[0]),), (1,)) if zero.size else None
-
-    def relation(cols: tuple) -> tuple:
-        kern = gflin.kernel_basis(ctx, mat[:, cols])
-        return cols, tuple(int(c) for c in ctx.neg_table[kern[0]])
-
-    if w == 2:
-        found = _first_collision(ctx, mat[None], np.full(1, -1))
-        return relation(found[1:]) if found else None
-    per_block = max(1, _COLLISION_CELLS // (rows * n))
-    # at w = 3 the head is empty and the prefix is j = 0; from w = 4 on the
-    # heads start with column 0
-    if w == 3:
-        heads, stop = [()], min(1, n - 2)
-    else:
-        heads = ((0,) + rest for rest in itertools.combinations(range(1, n - 3), w - 4))
-        stop = n - 2
-    for head in heads:
-        red = mat[None]
-        for c in head:
-            red = _eliminate(ctx, red, red[:, :, c])
-        for lo in range(head[-1] + 1 if head else 0, stop, per_block):
-            js = np.arange(lo, min(lo + per_block, stop))
-            imgs = np.broadcast_to(red, (len(js), rows, n))
-            found = _first_collision(ctx, _eliminate(ctx, imgs, red[0][:, js].T), js)
-            if found:
-                b, k, l = found
-                return relation(head + (int(js[b]), k, l))
+    stream = _prefixes(n, top)
+    cells = _COLLISION_START
+    head, red = None, None
+    while block := list(itertools.islice(stream, max(1, cells // (rows * n)))):
+        cells = min(2 * cells, _COLLISION_CELLS)
+        # the w = 2 row compares the columns themselves
+        imgs, lo = ([mat[None]], [-1]) if block[0] == () else ([], [])
+        groups = []  # (head reduction, its j's), one per head in the block
+        for group_head, group in itertools.groupby(block[len(imgs) :], lambda p: p[:-1]):
+            if group_head != head:
+                head, red = group_head, mat[None]
+                for c in head:
+                    red = _eliminate(ctx, red, red[:, :, c])
+            groups.append((red, [p[-1] for p in group]))
+            lo += groups[-1][1]
+        if groups:
+            reds = np.concatenate([np.broadcast_to(r, (len(js), rows, n)) for r, js in groups])
+            vecs = np.concatenate([r[0][:, js].T for r, js in groups])
+            imgs.append(_eliminate(ctx, reds, vecs))
+        found = _first_collision(ctx, np.concatenate(imgs), np.array(lo))
+        if found:
+            b, k, l = found
+            cols = block[b] + (k, l)
+            kern = gflin.kernel_basis(ctx, mat[:, cols])
+            return cols, tuple(int(c) for c in ctx.neg_table[kern[0]])
     return None
 
 
@@ -204,8 +241,10 @@ def min_distance_by_columns(code: bch.BchCode, w_max: int = 5) -> DistanceResult
     checked rather than assumed: its row space must absorb the one-column
     shift.  So from w = 3 on only the sets through column 0 are scanned, and
     clearing the w = 4 level of a d = 5 code takes O(n) prefixes, O(n^2)
-    work, instead of O(n^2) prefixes.  When every subset up to w_max is
-    independent the result carries value None with searched_up_to = w_max.
+    work, instead of O(n^2) prefixes.  Levels 2 to min(rank, w_max) share
+    one stream of prefixes (``_lex_first_dependent``); past the rank every
+    set is dependent.  When every subset up to w_max is independent the
+    result carries value None with searched_up_to = w_max.
     """
     if w_max < 2:
         raise ValueError("w_max must be >= 2")
@@ -214,21 +253,21 @@ def min_distance_by_columns(code: bch.BchCode, w_max: int = 5) -> DistanceResult
     r_mat, pivots = gflin.rref(ctx, mat)
     _check_cyclic(ctx, mat, r_mat, pivots)
     rk = len(pivots)
-    for w in range(1, w_max + 1):
-        if w > rk:
-            # every w-subset is dependent; the lex-first is the first w columns
-            if w > mat.shape[1]:
-                break
-            cols = tuple(range(w))
-            kern = gflin.kernel_basis(ctx, mat[:, cols])
-            coeffs = tuple(int(c) for c in kern[0])
-            return DistanceResult(w, ColumnsWitness(cols, coeffs), "column-search")
-        found = _lex_first_dependent(ctx, mat, w)
-        if found:
-            cols, coeffs = found
-            return DistanceResult(
-                w, ColumnsWitness(tuple(cols), tuple(coeffs)), "column-search"
-            )
+    top = min(rk, w_max)
+    zero = np.nonzero(~mat.any(axis=0))[0]
+    if top >= 1 and zero.size:
+        return DistanceResult(1, ColumnsWitness((int(zero[0]),), (1,)), "column-search")
+    found = _lex_first_dependent(ctx, mat, top)
+    if found:
+        cols, coeffs = found
+        return DistanceResult(len(cols), ColumnsWitness(cols, coeffs), "column-search")
+    w = rk + 1
+    if w <= min(w_max, mat.shape[1]):
+        # every w-subset is dependent; the lex-first is the first w columns
+        cols = tuple(range(w))
+        kern = gflin.kernel_basis(ctx, mat[:, cols])
+        coeffs = tuple(int(c) for c in kern[0])
+        return DistanceResult(w, ColumnsWitness(cols, coeffs), "column-search")
     return DistanceResult(None, None, "column-search", searched_up_to=w_max)
 
 

@@ -391,9 +391,26 @@ class FieldContext:
 
 
 @lru_cache(maxsize=32)
+def _cached_field(p: int, s: int) -> FieldContext:
+    # build_field has checked the caller's cap
+    return FieldContext(p, s, max_q=p**s)
+
+
 def build_field(p: int, s: int, max_q: int = MAX_TABLE_Q) -> FieldContext:
-    """Deterministic GF(p^(2s)) context; cached per (p, s, max_q)."""
-    return FieldContext(p, s, max_q)
+    """Deterministic GF(p^(2s)) context, cached per (p, s).
+
+    The context does not depend on ``max_q``, so the cap is not part of the
+    cache key: it is checked on every call, before the cache is read.
+    ``build_field.cache_info()`` and ``build_field.cache_clear()`` reach the
+    cache.
+    """
+    if p**s > max_q:
+        return FieldContext(p, s, max_q)  # raises: a bad p, or q over the cap
+    return _cached_field(p, s)
+
+
+build_field.cache_info = _cached_field.cache_info
+build_field.cache_clear = _cached_field.cache_clear
 
 
 __all__ = ["FieldContext", "build_field", "is_prime", "prime_factors", "MAX_TABLE_Q"]

@@ -9,13 +9,16 @@ the full lex scan gave it before the search was restricted to the sets
 through column 0.
 """
 
+import functools
 import importlib.util
+import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bchlab import bch
+from bchlab import bch, distance
 from bchlab.bch import build_bch, expanded_parity_matrix
 from bchlab.distance import min_distance_by_columns, verify_witness
 from bchlab.field import build_field
@@ -46,9 +49,16 @@ def codes(max_q, delta):
                 continue
 
 
+@functools.lru_cache(maxsize=None)
+def reference_result(p, s, delta, h, w_max):
+    # shared by the tests that compare the same codes under different blocks
+    code = build_bch(build_field(p, s), delta, h)
+    return reference.min_distance_by_columns(code, w_max=w_max)
+
+
 def assert_matches_reference(code, w_max=5):
     fast = min_distance_by_columns(code, w_max=w_max)
-    slow = reference.min_distance_by_columns(code, w_max=w_max)
+    slow = reference_result(code.ctx.p, code.ctx.s, code.delta, code.h, w_max)
     assert fast == slow, (code.ctx.q, code.delta, code.h, w_max)
     if fast.value is not None:
         assert verify_witness(code, fast)
@@ -128,3 +138,92 @@ def test_non_cyclic_matrix_rejected(monkeypatch):
     monkeypatch.setattr(bch, "expanded_parity_matrix", lambda code: mat[:, perm])
     with pytest.raises(AssertionError, match="cyclic shift"):
         min_distance_by_columns(code)
+
+
+@pytest.mark.parametrize("start, cap", [(1, 1), (100, 300)])
+def test_small_blocks_match_reference(monkeypatch, start, cap):
+    # one prefix per block, or a few: blocks then start and end inside a
+    # level and inside a head's run of j's
+    monkeypatch.setattr(distance, "_COLLISION_START", start)
+    monkeypatch.setattr(distance, "_COLLISION_CELLS", cap)
+    stream, sizes = [], []
+    prefixes, first_collision = distance._prefixes, distance._first_collision
+
+    def spy_prefixes(n, top):
+        for prefix in prefixes(n, top):
+            stream.append(prefix)
+            yield prefix
+
+    def spy_collision(ctx, imgs, lo):
+        sizes.append(len(lo))
+        return first_collision(ctx, imgs, lo)
+
+    monkeypatch.setattr(distance, "_prefixes", spy_prefixes)
+    monkeypatch.setattr(distance, "_first_collision", spy_collision)
+    blocks = []
+    for delta, max_q in [(3, 16), (4, 9), (5, 9)]:
+        for code in codes(max_q, delta):
+            stream.clear()
+            sizes.clear()
+            assert_matches_reference(code)
+            assert sum(sizes) == len(stream)
+            ends = list(itertools.accumulate(sizes))
+            blocks += [stream[a:b] for a, b in zip([0] + ends, ends)]
+    if cap == 1:
+        assert {len(block) for block in blocks} == {1}
+    else:
+        levels = [{len(p) + 2 for p in block} for block in blocks]
+        assert {2, 3, 4} in levels and {3, 4} in levels and {4, 5} in levels
+        five_heads = [{p[:-1] for p in block if len(p) == 3} for block in blocks]
+        assert max(map(len, five_heads)) > 1
+
+
+def test_first_block_holds_one_prefix_at_q1024(monkeypatch):
+    # the witness of this d = 4 code sits on the third prefix of the stream,
+    # (0, 1): the prefixes eliminated up to the hit stay within a small
+    # multiple of its position, however large the later blocks would be
+    eliminated = []
+    eliminate = distance._eliminate
+
+    def spy(ctx, imgs, vecs):
+        eliminated.append(len(vecs))
+        return eliminate(ctx, imgs, vecs)
+
+    monkeypatch.setattr(distance, "_eliminate", spy)
+    code = build_bch(build_field(2, 10), 3, 746)
+    res = min_distance_by_columns(code)
+    assert res.value == 4 and res.witness.cols == (0, 1, 2, 415)
+    hit = list(distance._prefixes(code.n, 4)).index((0, 1))
+    assert sum(eliminated) <= 3 * (hit + 1)
+
+
+@pytest.mark.parametrize("p, s, rows, n", [(2, 4, 4, 17), (3, 2, 6, 10), (2, 7, 10, 40)])
+def test_first_collision_matches_brute_force(p, s, rows, n):
+    # 10 rows at q = 128 need two key words per column: the lexsort path
+    ctx = build_field(p, s)
+    rng = np.random.default_rng(ctx.q)
+    imgs = rng.integers(0, ctx.q, size=(8, rows, n))
+    imgs[1, :, 3] = 0
+    for b in range(7):  # the last row keeps its random columns
+        for _ in range(b % 3):
+            k, l = rng.choice(n, 2, replace=False)
+            imgs[b][:, l] = ctx.mul_table[rng.integers(1, ctx.q), imgs[b][:, k]]
+    lo = rng.integers(-1, n // 2, size=8)
+
+    def canon(col):
+        nz = np.nonzero(col)[0]
+        return tuple(ctx.mul_table[ctx.inv_table[col[nz[0]]], col]) if nz.size else ()
+
+    def brute(imgs, lo):
+        for b, img in enumerate(imgs):
+            keys = [canon(img[:, c]) for c in range(n)]
+            for k in range(lo[b] + 1, n):
+                for l in range(k + 1, n):
+                    if keys[k] == keys[l]:
+                        return b, k, l
+        return None
+
+    found = [brute(imgs[i:], lo[i:]) for i in range(8)]
+    assert found[0] is not None and None in found
+    for i in range(8):
+        assert distance._first_collision(ctx, imgs[i:], lo[i:]) == found[i]

@@ -155,6 +155,18 @@ def test_build_errors():
         build_field(2, 0)
 
 
+def test_build_field_cache_ignores_the_cap():
+    # the context does not depend on max_q, so both call forms share one build
+    build_field.cache_clear()
+    a = build_field(2, 3)
+    assert build_field(2, 3, 4096) is a and build_field(2, 3, 8) is a
+    assert build_field.cache_info().misses == 1
+    # a lower cap still raises on the cached field
+    with pytest.raises(ValueError, match="table cap 4"):
+        build_field(2, 3, 4)
+    assert build_field.cache_info().currsize == 1
+
+
 def test_tables_too_large_for_int16_labels():
     # compact labels are int16; the check comes before any table is built
     with pytest.raises(ValueError, match="int16"):
