@@ -13,7 +13,9 @@ Three independent routes to the same numbers:
   (a, b) per weight-preserving symmetry class (``root-count``).  On U_{q+1}
   that polynomial is u^(h+1) * Tr(u^h (a + b*u)), and the trace vanishes on
   one residue class of the discrete log mod q+1, so the root counts of every
-  class come from one histogram of Zech logarithms: O(q^2) work per code.
+  class come from one histogram of Zech logarithms mod q+1
+  (``FieldContext.zech_residues``): O(q^2) work per code, in contiguous
+  blocks of rows with one subtraction and one ``bincount`` each.
 
 Every engine that finds a value emits a witness that ``verify_witness``
 re-validates from scratch.
@@ -43,8 +45,8 @@ _BLOCK_ROWS = 1 << 19
 # each next block twice as many, up to _COLLISION_CELLS (a few MB)
 _COLLISION_START = 1 << 12
 _COLLISION_CELLS = 1 << 18
-# histogram cells per root-count block: small enough that the allocator
-# recycles its arrays instead of mapping fresh pages on every call
+# histogram cells (2(q+1) per row) per root-count block: small enough that
+# the allocator recycles its arrays instead of mapping fresh pages on every call
 _ROOT_COUNT_CELLS = 1 << 14
 
 
@@ -179,7 +181,8 @@ def _lex_first_dependent(ctx: FieldContext, mat: np.ndarray, top: int) -> tuple 
     reduces each of its heads (the prefix without j) once, keeping the last
     head's reduction for the next block, eliminates all its j's in one
     batched call, and looks for the first collision over all its rows at
-    once.
+    once.  The w = 3 row (0,) is reduced on its own: its image is the
+    reduction of the w = 4 head (0,), so column 0 is eliminated once.
 
     The first collision in stream order is the answer.  Let d be the
     smallest size of a dependent set.  A row of level w <= d has a prefix of
@@ -198,8 +201,15 @@ def _lex_first_dependent(ctx: FieldContext, mat: np.ndarray, top: int) -> tuple 
         cells = min(2 * cells, _COLLISION_CELLS)
         # the w = 2 row compares the columns themselves
         imgs, lo = ([mat[None]], [-1]) if block[0] == () else ([], [])
+        rest = block[len(imgs) :]
+        if rest and rest[0] == (0,):
+            # the w = 3 row's image is the reduction of the w = 4 head (0,)
+            head, red = (0,), _eliminate(ctx, mat[None], mat[None, :, 0])
+            imgs.append(red)
+            lo.append(0)
+            rest = rest[1:]
         groups = []  # (head reduction, its j's), one per head in the block
-        for group_head, group in itertools.groupby(block[len(imgs) :], lambda p: p[:-1]):
+        for group_head, group in itertools.groupby(rest, lambda p: p[:-1]):
             if group_head != head:
                 head, red = group_head, mat[None]
                 for c in head:
@@ -404,11 +414,20 @@ def _root_count_scan(code: bch.BchCode):
     Tr(X) = 0, that is with X = 0 or log X = c (mod q+1), where c = 0 for
     even q and (q+1)/2 for odd q.  For u = beta^j,
     log X = i + h(q-1)j + zech[v + (q-1)j], and the indices v + (q-1)j run
-    over every residue mod q^2-1 once.  One histogram H[v, r] of
-    (zech[v + (q-1)j] + h(q-1)j) mod (q+1) over j therefore gives every
-    root count: roots(i, v) = H[v, (c-i) mod (q+1)] + zeros[v], with zeros[v]
-    the number of j where X = 0.  The axis classes are pure exponent
-    arithmetic.  All of it is O(q^2) work.
+    over every residue mod q^2-1 once.  So u is a root for exactly one i,
+    i = c - h(q-1)j - zech[v + (q-1)j] (mod q+1), and a histogram of that i
+    over j gives the root counts roots[v, i] of a whole row v at once.  X = 0
+    for one (v, j) only, v = 0 and alpha^((q-1)j) = -1, where every i has a
+    root.  The axis classes are pure exponent arithmetic.
+
+    The rows come from ``ctx.zech_residues`` (the Zech logs mod q+1) in
+    contiguous blocks of _ROOT_COUNT_CELLS // (2(q+1)) rows.  A block is one
+    subtraction from per-code lanes, which puts row r's bins in
+    [2(q+1)r, 2(q+1)(r+1)) and keeps each bin below 2(q+1) within its row;
+    one ``bincount``; and one fold of each row's two halves, which does the
+    mod.  Only a block that reaches the running most roots (below q+1) is
+    searched for its first (i, v), and a tie can win only with a smaller i,
+    since v grows from block to block.  All of it is O(q^2) work.
     """
     ctx = code.ctx
     q, h = ctx.q, code.h
@@ -435,21 +454,39 @@ def _root_count_scan(code: bch.BchCode):
         first_min(monomial_weights(h + 1, np.arange(g_b, dtype=np.int64)), 0),
         first_min(monomial_weights(h, np.arange(g_a, dtype=np.int64)), g_b),
     ]
-    # both nonzero: zech[j, v] = log(1 + alpha^(v + (q-1)j)), in blocks of v
-    zech = ctx.zech.reshape(n, q - 1)
-    shift = ((h * (q - 1) * j) % n)[:, None]
-    step = max(1, _ROOT_COUNT_CELLS // n)
+    # both nonzero: u = beta^j is a root iff i = target_j - res[v, j] (mod n);
+    # row r's lanes are 2nr + n + target_j, so lane - res[v, j] falls in row
+    # r's 2n bins, and adding the two halves of a row reduces it mod n
+    res = ctx.zech_residues
+    step = max(1, _ROOT_COUNT_CELLS // (2 * n))
+    target = (c - h * (q - 1) * j) % n
+    lanes = np.arange(n, 2 * n * min(step, q - 1), 2 * n, dtype=np.int64)[:, None] + target
+    absent = target[ctx.log_minus_one // (q - 1)]
+    top, first = -1, None  # most roots below n, and its first (i, v)
     for v0 in range(0, q - 1, step):
-        block = zech[:, v0 : v0 + step]
-        width = block.shape[1]
-        absent = block < 0
-        cell = np.arange(width, dtype=np.int64) * n + (block + shift) % n
-        hist = np.bincount(cell[~absent], minlength=width * n).reshape(width, n)
-        # roots[i, v] for i < q+1, which runs over the same range as j
-        roots = hist[:, (c - j) % n].T + absent.sum(axis=0)
-        value, pos = first_min(n - roots, 0)
-        i, dv = divmod(pos, width)
-        best.append((value, g_b + g_a + i * (q - 1) + v0 + dv))
+        block = res[v0 : v0 + step]
+        width = len(block)
+        hist = np.bincount((lanes[:width] - block).ravel(), minlength=2 * n * width)
+        hist = hist.reshape(width, 2 * n)
+        roots = hist[:, :n] + hist[:, n:]
+        if v0 == 0:
+            # the cell of -1 holds 0 and was counted at its bin; X = 0 there
+            # instead, a root for every i
+            roots[0, absent] -= 1
+            roots[0] += 1
+        most = int(roots.max())
+        if most >= n:
+            most = int(roots[roots < n].max(initial=-1))
+        if most < top or most < 0:
+            continue
+        # first (i, v) in scan order among the block's cells with most roots;
+        # v grows from block to block, so a tie wins only with a smaller i
+        hit = roots[:, : n if most > top else first[0]].T == most
+        if hit.any():
+            i, dv = divmod(int(hit.argmax()), width)
+            top, first = most, (i, v0 + dv)
+    if first is not None:
+        best.append((n - top, g_b + g_a + first[0] * (q - 1) + first[1]))
     value, idx = min(best)
     if idx < g_b:
         la, lb = None, idx

@@ -98,6 +98,7 @@ class FieldContext:
         # lazy caches for vector kernels
         self._digits = None
         self._zech = None
+        self._zech_residues = None
         self._sub_sorted = None
         self._sub_index = None
         self._add_table = None
@@ -300,6 +301,26 @@ class FieldContext:
             low = self.exp % self.p
             self._zech = self.log[self.exp - low + (low + 1) % self.p]
         return self._zech
+
+    @property
+    def zech_residues(self) -> np.ndarray:
+        """(q-1, q+1) uint16 table: row v, column j holds
+        zech[v + (q-1)j] mod (q+1).
+
+        Row v lists the Zech logarithms of 1 + alpha^v * u over u = beta^j in
+        U_{q+1}, reduced mod q+1, the size of U_{q+1}; the rows are contiguous
+        so that a block of rows is one slice.  The one k with zech[k] = -1,
+        ``log_minus_one``, lies in row 0 (it is a multiple of q - 1), and its
+        cell holds 0: a reader must correct that cell itself.
+        """
+        if self._zech_residues is None:
+            q = self.q
+            # reduce and narrow in the zech order, then transpose the narrow copy
+            flat = (self.zech % (q + 1)).astype(np.uint16)
+            res = np.ascontiguousarray(flat.reshape(q + 1, q - 1).T)
+            res[0, self.log_minus_one // (q - 1)] = 0
+            self._zech_residues = res
+        return self._zech_residues
 
     def log_add(self, la, lb) -> np.ndarray:
         """log(alpha^la + alpha^lb) elementwise (broadcast), -1 where the sum is 0.

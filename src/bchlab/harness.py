@@ -14,12 +14,14 @@ the engines themselves carry no q-cap.  The caps are the fields of
 skipped, and its record carries a ``skipped-cap`` method tag.
 
 Exit codes: 0 = everything matches (findings allowed), 1 = a theorem
-prediction disagrees with ground truth, 2 = invalid invocation.
+prediction disagrees with ground truth, 2 = invalid invocation or an output
+path that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -553,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
     opts = AnalyzeOptions(max_table_q=args.max_table_q)
     try:
         return _dispatch(args, opts)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -623,12 +625,17 @@ def _dispatch(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
             h_policy = "all"
         else:
             h_policy = [int(x) for x in args.h.split(",")]
-        records = sweep(p_list, args.s_min, args.s_max, h_policy, opts, args.threads)
-        with open(args.out, "w", newline="") as fh:
-            fh.write(records_to_csv(records, stable=args.stable))
-        if args.json:
-            with open(args.json, "w") as fh:
-                fh.write(records_to_json(records, stable=args.stable))
+        # open the outputs before the sweep, so that a bad path fails at once;
+        # append mode keeps an existing file intact until the rows are ready
+        with contextlib.ExitStack() as stack:
+            csv_fh = stack.enter_context(open(args.out, "a", newline=""))
+            json_fh = stack.enter_context(open(args.json, "a")) if args.json else None
+            records = sweep(p_list, args.s_min, args.s_max, h_policy, opts, args.threads)
+            csv_fh.truncate(0)
+            csv_fh.write(records_to_csv(records, stable=args.stable))
+            if json_fh:
+                json_fh.truncate(0)
+                json_fh.write(records_to_json(records, stable=args.stable))
         return _print_outcome(records)
 
     if args.command == "check-theorems":

@@ -197,6 +197,28 @@ def test_first_block_holds_one_prefix_at_q1024(monkeypatch):
     assert sum(eliminated) <= 3 * (hit + 1)
 
 
+@pytest.mark.parametrize("split", [False, True])
+def test_column_0_is_eliminated_once(monkeypatch, split):
+    # a q = 32, d = 4 code: the w = 3 row (0,) and the w = 4 head (0,) share
+    # one reduction, in one block (29 batched rows, not 30 with the w = 3
+    # row) or across a block boundary after (0,) (two calls, not three)
+    code = build_bch(build_field(2, 5), 3, 2)
+    rows, n = expanded_parity_matrix(code).shape
+    if split:
+        monkeypatch.setattr(distance, "_COLLISION_START", 2 * rows * n)
+    eliminated = []
+    eliminate = distance._eliminate
+
+    def spy(ctx, imgs, vecs):
+        eliminated.append(len(vecs))
+        return eliminate(ctx, imgs, vecs)
+
+    monkeypatch.setattr(distance, "_eliminate", spy)
+    res = min_distance_by_columns(code)
+    assert res.value == 4
+    assert eliminated == ([1, 4] if split else [1, 29])
+
+
 @pytest.mark.parametrize("p, s, rows, n", [(2, 4, 4, 17), (3, 2, 6, 10), (2, 7, 10, 40)])
 def test_first_collision_matches_brute_force(p, s, rows, n):
     # 10 rows at q = 128 need two key words per column: the lexsort path

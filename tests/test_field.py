@@ -215,6 +215,26 @@ def test_zech_logarithms(p, s):
             assert total == ctx.exp[zech[k]]
 
 
+def test_zech_residues_every_golden_field():
+    """Row v, column j is zech[v + (q-1)j] mod (q+1), and the one cell of the
+    -1 sentinel, in row 0, holds 0."""
+    for g in json.loads(GOLDEN.read_text()):
+        ctx = FieldContext(g["p"], g["s"], 4096)  # not cached: 70 fields
+        q = ctx.q
+        res = ctx.zech_residues
+        assert res.shape == (q - 1, q + 1) and res.dtype == np.uint16
+        assert res.flags.c_contiguous
+        want = ctx.zech.reshape(q + 1, q - 1).T % (q + 1)
+        absent = (0, ctx.log_minus_one // (q - 1))
+        assert absent == ((0, 0) if g["p"] == 2 else (0, (q + 1) // 2))
+        assert ctx.zech[absent[0] + (q - 1) * absent[1]] == -1
+        assert res[absent] == 0
+        keep = np.ones(res.shape, dtype=bool)
+        keep[absent] = False
+        assert np.array_equal(res[keep], want[keep]), (g["p"], g["s"])
+        assert ctx.zech_residues is res  # built once
+
+
 def test_prime_helpers():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert prime_factors(360) == [2, 3, 5]

@@ -304,6 +304,38 @@ def test_cli_sweep_empty_range_exits_zero(tmp_path):
     assert out.read_text().count("\n") == 1  # header only
 
 
+@pytest.mark.parametrize("bad", ["missing-dir", "directory", "json"])
+def test_cli_sweep_bad_output_path_exits_2_before_the_sweep(bad, tmp_path, monkeypatch, capsys):
+    from bchlab import harness
+
+    def no_analyze(*args):
+        raise AssertionError("analyze ran before the output paths were checked")
+
+    monkeypatch.setattr(harness, "analyze", no_analyze)
+    out, jout = tmp_path / "rows.csv", None
+    if bad == "missing-dir":
+        out = tmp_path / "missing" / "rows.csv"
+    elif bad == "directory":
+        out = tmp_path
+    else:
+        jout = tmp_path / "missing" / "rows.json"
+    argv = ["sweep", "--p", "2", "--s-min", "1", "--s-max", "1", "--out", str(out)]
+    rc = main(argv + (["--json", str(jout)] if jout else []))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and str(jout or out) in err
+
+
+def test_cli_sweep_keeps_old_output_until_the_rows_are_ready(tmp_path):
+    out = tmp_path / "rows.csv"
+    out.write_text("old\n")
+    rc = main(["sweep", "--p", "4", "--s-min", "1", "--s-max", "1", "--out", str(out)])
+    assert rc == 2  # 4 is not prime
+    assert out.read_text() == "old\n"
+    assert main(["sweep", "--p", "2", "--s-min", "1", "--s-max", "1", "--out", str(out)]) == 0
+    assert out.read_text().startswith("p,")
+
+
 def test_cli_invalid_invocations(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["check-conjecture", "--name", "bogus"])

@@ -9,6 +9,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bchlab import distance
@@ -46,6 +47,42 @@ def test_one_column_blocks_match_reference(p, s, monkeypatch):
     for h in range(ctx.q + 1):
         code = build_bch(ctx, 3, h)
         assert _root_count_scan(code) == reference.root_count_scan(code), (ctx.q, h)
+
+
+def _tied_cells(code):
+    """(i, v) of every both-nonzero representative with the most roots below
+    q+1, straight from the Zech logarithms."""
+    ctx, h = code.ctx, code.h
+    q, n = ctx.q, ctx.q + 1
+    c = 0 if ctx.p == 2 else n // 2
+    zech = ctx.zech.reshape(n, q - 1).astype(np.int64)  # [j, v]
+    log_x = (h * (q - 1) * np.arange(n)[:, None] + zech) % n
+    i = np.arange(n)[:, None, None]
+    roots = (((i + log_x) % n == c) | (zech < 0)).sum(axis=1)  # [i, v]
+    most = roots[roots < n].max()
+    return [tuple(cell) for cell in np.argwhere(roots == most)]
+
+
+def test_few_row_blocks_match_reference(monkeypatch):
+    # blocks of 2 to 5 rows v whose width does not divide q - 1, so the last
+    # block is narrower; the scan must pick the first (i, v) of the tied
+    # cells also when a later block holds a smaller i than the first block
+    # that reaches the most roots
+    straddled = 0
+    for q, p, s in prime_powers_upto(27):
+        if q < 4:
+            continue
+        ctx = build_field(p, s)
+        width = next(w for w in range(2, q - 1) if (q - 1) % w)
+        monkeypatch.setattr(distance, "_ROOT_COUNT_CELLS", 2 * (q + 1) * width)
+        for h in range(q + 1):
+            code = build_bch(ctx, 3, h)
+            got = _root_count_scan(code)
+            assert got == reference.root_count_scan(code), (q, h)
+            cells = _tied_cells(code)
+            if all(got[1]):
+                straddled += min(v // width for _, v in cells) < min(cells)[1] // width
+    assert straddled
 
 
 def test_golden_witnesses():
