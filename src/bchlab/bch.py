@@ -5,7 +5,13 @@ beta^(h+delta-2), beta a primitive (q+1)-th root of unity in GF(q^2).  A
 codeword c(x) lies in the code exactly when it vanishes at those beta powers,
 so the rows [(beta^(h+r))^i]_{i=0..q} over GF(q^2) act as a parity check; the
 same rows rewritten in the basis {1, alpha} give a 2(delta-1)-row parity
-matrix over GF(q) whose right kernel is the code.
+matrix over GF(q) whose right kernel is the code.  Its entries depend only on
+(h+r)*i mod q+1, so they are gathered from the field's ``unit_coords``.
+
+g is built from closed-form minimal polynomials (trace and norm) multiplied
+as Poly objects, with scalar exp/log lookups and digit-wise addition.  It is
+checked by evaluating it at every root with ``FieldContext.sums_vanish``,
+which sums the terms as base-p digit vectors and uses no Zech logarithm.
 
 The dual code admits a second, independent description: the words
 (Tr(a*beta^(h*i) + b*beta^((h+1)*i)))_i for (a, b) in GF(q^2)^2 (delta = 3).
@@ -14,13 +20,15 @@ Both views are exposed so they can be cross-checked.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cosets, gflin
 from .field import FieldContext
-from .polynomial import TAG_Q, Poly, minimal_polynomial
+from .polynomial import Poly, minimal_polynomial
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +63,9 @@ def build_bch(ctx: FieldContext, delta: int = 3, h: int = 0) -> BchCode:
 
     g is then checked against its defining set D, the union of those cosets:
     monic, of degree |D| and zero at every beta^e, e in D, it equals the
-    product of (x - beta^e) over D and so divides x^n - 1.  The check
-    evaluates g through Zech logarithms, which the digit-loop arithmetic of
-    the product never uses.
+    product of (x - beta^e) over D and so divides x^n - 1.  The check forms
+    every term g_k * beta^(e*k) at once and sums each root's terms as digit
+    vectors mod p, arithmetic the closed forms and the product do not use.
     """
     n = ctx.q + 1
     if not 0 <= h <= ctx.q:
@@ -68,12 +76,11 @@ def build_bch(ctx: FieldContext, delta: int = 3, h: int = 0) -> BchCode:
     for r in range(delta - 1):
         coset = cosets.coset_of((h + r) % n, n, ctx.q)
         members[coset.leader] = coset.members
-    g = Poly.one(ctx, TAG_Q)
-    for e in members:
-        g = g * minimal_polynomial(ctx, e, n)
+    g = functools.reduce(operator.mul, [minimal_polynomial(ctx, e, n) for e in members])
     root_logs = (ctx.q - 1) * np.array([e for m in members.values() for e in m], dtype=np.int64)
-    vanishes = not (_eval_logs(ctx, g, root_logs) >= 0).any()
-    if g.leading != 1 or g.degree != len(root_logs) or not vanishes:
+    lg = ctx.log[np.array(g.coeffs, dtype=np.int64)]
+    terms = np.where(lg < 0, -1, lg + root_logs[:, None] * np.arange(len(lg)))
+    if g.leading != 1 or g.degree != len(root_logs) or not ctx.sums_vanish(terms):
         raise AssertionError("generator is not the product of x - beta^e over its defining set")
     return BchCode(ctx=ctx, n=n, delta=delta, h=h, g=g, k=n - g.degree)
 
@@ -84,24 +91,15 @@ def _times(ctx: FieldContext, logs, shift, power: int = 1) -> np.ndarray:
     return np.where(logs < 0, -1, (power * logs + shift) % ctx.order)
 
 
-def _eval_logs(ctx: FieldContext, f: Poly, logs: np.ndarray) -> np.ndarray:
-    """log f(alpha^logs) elementwise, -1 where it is zero: Horner over logs."""
-    acc = np.full(len(logs), -1, dtype=np.int64)
-    for c in reversed(f.coeffs):
-        acc = ctx.log_add(_times(ctx, acc, logs), ctx.log[c])
-    return acc
-
-
-def _parity_logs(code: BchCode) -> np.ndarray:
-    """(delta-1, n) logs of the parity rows: (h+r)(q-1)i mod q^2-1."""
+def _parity_exponents(code: BchCode) -> np.ndarray:
+    """(delta-1, n) exponents of beta in the parity rows: (h+r)i mod n."""
     r = np.arange(code.delta - 1, dtype=np.int64)[:, None]
-    i = np.arange(code.n, dtype=np.int64)
-    return (code.h + r) * (code.ctx.q - 1) * i % code.ctx.order
+    return (code.h + r) * np.arange(code.n, dtype=np.int64) % code.n
 
 
 def parity_rows(code: BchCode) -> np.ndarray:
     """(delta-1, n) matrix over GF(q^2): row r is [(beta^(h+r))^i]_i."""
-    return code.ctx.exp[_parity_logs(code)]
+    return code.ctx.exp[(code.ctx.q - 1) * _parity_exponents(code)]
 
 
 def generator_matrix(code: BchCode) -> np.ndarray:
@@ -121,20 +119,11 @@ def expanded_parity_matrix(code: BchCode) -> np.ndarray:
     parity row r.  Its right kernel over GF(q) is the code; the rank equals
     n - k (it drops below 2(delta-1) for the degenerate offsets).
 
-    For e = c0 + c1*alpha with c0, c1 in GF(q), e^q = c0 + c1*alpha^q, so
-    c1 = (e - e^q)/(alpha - alpha^q) and c0 = e - c1*alpha, all in logs.
+    Entry i of parity row r is beta^((h+r)i), so both coordinates are column
+    (h+r)i mod q+1 of ``unit_coords``.
     """
-    ctx = code.ctx
-    m = ctx.log_minus_one
-    e = _parity_logs(code)
-    diff = ctx.log_add(e, _times(ctx, e, m, ctx.q))  # e - e^q
-    denom = ctx.log_add(1, _times(ctx, 1, m, ctx.q))  # alpha - alpha^q, nonzero
-    c1 = _times(ctx, diff, -denom)
-    c0 = ctx.log_add(e, _times(ctx, c1, 1 + m))
-    out = np.empty((2 * len(e), code.n), dtype=np.int64)
-    out[0::2] = ctx.sub_index[ctx.from_log(c0)]
-    out[1::2] = ctx.sub_index[ctx.from_log(c1)]
-    return out
+    coords = code.ctx.unit_coords[:, _parity_exponents(code)]  # (2, delta-1, n)
+    return coords.transpose(1, 0, 2).reshape(-1, code.n).astype(np.int64)
 
 
 def dual_basis(code: BchCode) -> np.ndarray:

@@ -535,17 +535,15 @@ def dual_min_distance(code: bch.BchCode, method: str = "root-count") -> Distance
 def _in_code(code: bch.BchCode, word: np.ndarray) -> bool:
     """Whether a length-n compact-label word vanishes on every parity row.
 
-    The products w_i * beta^((h+r)i) are formed through logs and summed as
-    base-p digit vectors mod p, so no field addition of the code under test
+    The products w_i * beta^((h+r)i) are formed through logs and summed by
+    ``FieldContext.sums_vanish``, so no field addition of the code under test
     is involved.
     """
     ctx = code.ctx
     lw = ctx.log[ctx.from_compact(word)]
     r = np.arange(code.delta - 1, dtype=np.int64)[:, None]
     shift = (code.h + r) * (ctx.q - 1) * np.arange(code.n, dtype=np.int64)
-    terms = np.where(lw < 0, 0, ctx.exp[(lw + shift) % ctx.order])
-    digits = terms[..., None] // ctx.p ** np.arange(2 * ctx.s, dtype=np.int64) % ctx.p
-    return not (digits.sum(axis=1) % ctx.p).any()
+    return ctx.sums_vanish(np.where(lw < 0, -1, lw + shift))
 
 
 def _in_dual(code: bch.BchCode, word: np.ndarray) -> bool:

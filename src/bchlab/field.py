@@ -14,7 +14,12 @@ of the Frobenius map x -> x^q.
 
 For bulk kernels the context also exposes elementwise addition of discrete
 logs through Zech logarithms (``log_add``), and a compact relabelling of the
-subfield onto [0, q) (sorted by element index) with q x q add/mul tables.
+subfield onto [0, q) (sorted by element index) with q x q add/mul tables and
+the (2, q+1) table ``unit_coords`` of the {1, alpha} coordinates of every
+beta^k, from which the expanded parity matrices are gathered.  Checks that
+must not share arithmetic with the tables, such as whether a generator
+polynomial vanishes on its defining set, use ``sums_vanish``: base-p digit
+vectors summed mod p, with no Zech logarithm.
 """
 
 from __future__ import annotations
@@ -33,6 +38,11 @@ MAX_TABLE_Q = 1 << 12  # default cap: exp/log tables of ~2^24 entries
 # fresh pages for each one.  The scatter into log dominates at large q, where
 # the block size makes no measurable difference.
 _FILL_CELLS = 1 << 14
+
+# Cells per block of rows for the (q, q) add table and the digit sums of
+# sums_vanish, so that their int64 temporaries stay at a few MB at q = 4096;
+# up to q = 243 the add table is one block.
+_BLOCK_CELLS = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -99,6 +109,7 @@ class FieldContext:
         self._digits = None
         self._zech = None
         self._zech_residues = None
+        self._unit_coords = None
         self._sub_sorted = None
         self._sub_index = None
         self._add_table = None
@@ -334,6 +345,41 @@ class FieldContext:
         total = np.where(z < 0, -1, (la + z) % self.order)
         return np.where(la < 0, lb, np.where(lb < 0, la, total))
 
+    def sums_vanish(self, logs) -> bool:
+        """Whether every row of alpha^logs sums to zero; a log of -1 is a zero term.
+
+        ``logs`` is 2-D.  The terms are summed as base-p digit vectors mod p,
+        in blocks of rows, so neither the Zech table nor ``add`` is involved.
+        """
+        logs = np.asarray(logs, dtype=np.int64)
+        pows = self.p ** np.arange(2 * self.s, dtype=np.int64)
+        rows = max(1, _BLOCK_CELLS // (logs.shape[1] * len(pows)))
+        for start in range(0, len(logs), rows):
+            block = logs[start : start + rows]
+            terms = np.where(block < 0, 0, self.exp[block % self.order])
+            # x // p^j is digit j of x mod p, so one reduction after the sum
+            if ((terms[..., None] // pows).sum(axis=1) % self.p).any():
+                return False
+        return True
+
+    @property
+    def unit_coords(self) -> np.ndarray:
+        """(2, q+1) int16 table: column k holds the compact labels of c0 and c1,
+        where beta^k = c0 + c1*alpha with c0, c1 in GF(q).
+
+        For e = c0 + c1*alpha, e^q = c0 + c1*alpha^q, so
+        c1 = (e - e^q)/(alpha - alpha^q) and c0 = e - c1*alpha, all in logs.
+        """
+        if self._unit_coords is None:
+            q, m, order = self.q, self.log_minus_one, self.order
+            e = (q - 1) * np.arange(q + 1, dtype=np.int64)  # log beta^k, never -1
+            diff = self.log_add(e, (q * e + m) % order)  # e - e^q
+            denom = self.log_add(1, (q + m) % order)  # alpha - alpha^q, nonzero
+            c1 = np.where(diff < 0, -1, (diff - denom) % order)
+            c0 = self.log_add(e, np.where(c1 < 0, -1, (c1 + 1 + m) % order))
+            self._unit_coords = self.sub_index[self.from_log(np.stack((c0, c1)))]
+        return self._unit_coords
+
     def from_log(self, logs) -> np.ndarray:
         """Elements alpha^logs for logs in [0, order), and 0 where a log is -1."""
         logs = np.asarray(logs, dtype=np.int64)
@@ -369,21 +415,28 @@ class FieldContext:
 
     @property
     def add_table(self) -> np.ndarray:
-        """(q, q) addition table over compact subfield labels, from log_add."""
+        """(q, q) addition table over compact subfield labels, from log_add,
+        filled in blocks of rows of at most _BLOCK_CELLS cells."""
         if self._add_table is None:
+            q = self.q
             logs = self.log[self.sub_sorted]  # -1 at label 0, the zero element
-            total = self.log_add(logs[:, None], logs[None, :])
-            self._add_table = self.sub_index[self.from_log(total)]
+            table = np.empty((q, q), dtype=np.int16)
+            rows = max(1, _BLOCK_CELLS // q)
+            for start in range(0, q, rows):
+                total = self.log_add(logs[start : start + rows, None], logs[None, :])
+                table[start : start + rows] = self.sub_index[self.from_log(total)]
+            self._add_table = table
         return self._add_table
 
     @property
     def mul_table(self) -> np.ndarray:
         """(q, q) multiplication table over compact subfield labels."""
         if self._mul_table is None:
-            logs = np.zeros(self.q, dtype=np.int64)
+            logs = np.zeros(self.q, dtype=np.int32)
             nz = self.sub_sorted[1:]
             logs[1:] = self.log[nz]
-            esum = (logs[:, None] + logs[None, :]) % self.order
+            esum = logs[:, None] + logs[None, :]  # below 2^25: int32 suffices
+            esum %= self.order
             prod = self.sub_index[self.exp[esum]]
             prod[0, :] = 0
             prod[:, 0] = 0

@@ -11,6 +11,10 @@ Two layers live here:
   ``"q2"``).  Coefficients are stored lowest degree first with no trailing
   zeros; the zero polynomial has an empty tuple.  Operators +, -, *, divmod,
   //, % are overloaded; `gcd`/`lcm` return monic results.
+
+Minimal polynomials over GF(q) of elements of GF(q^2) have degree 1 or 2, so
+`minimal_polynomial` writes them in closed form from the trace and the norm,
+with scalar exp/log lookups and the digit-wise addition of the context.
 """
 
 from __future__ import annotations
@@ -282,10 +286,6 @@ class Poly:
             acc = ctx.add(ctx.mul(acc, x), c)
         return acc
 
-    def as_subfield(self) -> "Poly":
-        """Re-tag a q2 polynomial whose coefficients all lie in GF(q)."""
-        return Poly.make(self.ctx, TAG_Q, self.coeffs)
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -320,28 +320,23 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 
 
 def minimal_polynomial(ctx, e: int, n: int) -> Poly:
-    """Minimal polynomial over GF(q) of omega^e, omega a primitive n-th root.
+    """Minimal polynomial over GF(q) of gamma = omega^e, omega a primitive n-th root.
 
-    The product over the q-cyclotomic coset of ``e`` mod ``n`` is expanded in
-    GF(q^2)[x]; every coefficient is then checked to lie in the subfield and
-    the result re-tagged.  ``n`` must divide q^2 - 1 (for the code family at
-    hand, n = q + 1 and omega is beta).
+    GF(q^2) has degree 2 over GF(q), so gamma has at most one conjugate,
+    gamma^q: the result is x - gamma when gamma^q = gamma, else
+    x^2 - Tr(gamma)*x + N(gamma) with Tr(gamma) = gamma + gamma^q and
+    N(gamma) = gamma^(q+1), formed by scalar table lookups.  Poly.make checks
+    that every coefficient lies in the subfield.  ``n`` must divide q^2 - 1
+    (for the code family at hand, n = q + 1 and omega is beta).
     """
     if n <= 0 or (ctx.q2 - 1) % n != 0:
         raise ValueError(f"n={n} must divide q^2-1={ctx.q2 - 1}")
-    omega = ctx.exp_at((ctx.q2 - 1) // n)
-    coset = cosets.coset_of(e % n, n, ctx.q)
-    acc = Poly.one(ctx, TAG_Q2)
-    for i in coset.members:
-        root = ctx.pow(omega, i)
-        acc = acc * Poly.make(ctx, TAG_Q2, [ctx.neg(root), 1])
-    for c in acc.coeffs:
-        if not ctx.in_subfield(c):
-            raise ValueError(
-                "coset product has a coefficient outside GF(q); "
-                "field construction is inconsistent"
-            )
-    return acc.as_subfield()
+    le = e % n * ((ctx.q2 - 1) // n)  # log of gamma
+    gamma, conj = ctx.exp_at(le), ctx.exp_at(le * ctx.q)
+    if conj == gamma:
+        return Poly.make(ctx, TAG_Q, [ctx.neg(gamma), 1])
+    norm = ctx.exp_at(le * (ctx.q + 1))
+    return Poly.make(ctx, TAG_Q, [norm, ctx.neg(ctx.add(gamma, conj)), 1])
 
 
 def all_minimal_polynomials(ctx, n: int) -> list[Poly]:

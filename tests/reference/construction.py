@@ -3,9 +3,11 @@
 An independent, direct implementation of the array construction in
 ``bchlab.bch``: the parity rows entry by entry, the {1, alpha} split of each
 entry, the trace words of the dual code, and the generator polynomial as an
-lcm of minimal polynomials.  Addition and negation are the digit loops below,
-so no Zech logarithm enters; products, quotients and powers come from the
-exp/log tables.  It is the oracle for differential tests at small q.
+lcm of minimal polynomials, each the product of x - omega^i over a
+cyclotomic coset rather than the closed form of ``bchlab.polynomial``.
+Addition and negation are digit loops, so no Zech logarithm enters;
+products, quotients and powers come from the exp/log tables.  It is the
+oracle for differential tests at small q.
 
 ``in_dual`` is the dual-membership check that ``distance.verify_witness``
 made before it correlated the word with g: the word against every row of the
@@ -16,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from bchlab import bch, gflin
+from bchlab import bch, cosets, gflin
 from bchlab.field import FieldContext
-from bchlab.polynomial import TAG_Q, Poly, minimal_polynomial, poly_lcm
+from bchlab.polynomial import TAG_Q, TAG_Q2, Poly, poly_lcm
 
 
 def add(ctx: FieldContext, a: int, b: int) -> int:
@@ -51,6 +53,20 @@ def sub(ctx: FieldContext, a: int, b: int) -> int:
 
 def trace(ctx: FieldContext, a: int) -> int:
     return add(ctx, a, ctx.pow(a, ctx.q))
+
+
+def minimal_polynomial(ctx: FieldContext, e: int, n: int) -> Poly:
+    """Product of x - omega^i over the q-cyclotomic coset of e mod n, with
+    omega a primitive n-th root of unity, n | q^2 - 1.
+
+    Expanded in GF(q^2)[x]; re-tagging it to GF(q) checks that every
+    coefficient lies in the subfield.
+    """
+    omega = ctx.exp_at((ctx.q2 - 1) // n)
+    acc = Poly.one(ctx, TAG_Q2)
+    for i in cosets.coset_of(e % n, n, ctx.q).members:
+        acc = acc * Poly.make(ctx, TAG_Q2, [neg(ctx, ctx.pow(omega, i)), 1])
+    return Poly.make(ctx, TAG_Q, acc.coeffs)
 
 
 def generator(ctx: FieldContext, delta: int, h: int) -> Poly:

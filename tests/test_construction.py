@@ -2,13 +2,16 @@
 
 ``reference/construction.py`` holds the per-entry loops that the log/Zech
 array expressions of ``bchlab.bch`` replaced, with its own digit-loop
-addition.  Both must give the same generator polynomial, parity rows,
-expanded parity matrix and trace words.  Its generator-matrix dual check must
+addition, and the coset products that the closed-form minimal polynomials
+replaced.  Both must give the same minimal polynomials, generator
+polynomial, parity rows, {1, alpha} coordinates of the unit circle, expanded
+parity matrix and trace words.  Its generator-matrix dual check must
 accept and reject the same words as the correlation with g in
 ``bchlab.distance``.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +19,9 @@ import pytest
 
 from bchlab.bch import build_bch, dual_codeword, expanded_parity_matrix, parity_rows
 from bchlab.distance import _in_dual, dual_min_distance
-from bchlab.field import build_field
+from bchlab.field import FieldContext, build_field
 from bchlab.harness import prime_powers_upto
+from bchlab.polynomial import minimal_polynomial
 
 HERE = Path(__file__).resolve().parent
 
@@ -33,9 +37,39 @@ _spec.loader.exec_module(reference)
 def _grid():
     for q, p, s in prime_powers_upto(64):
         yield pytest.param(p, s, 3, id=f"q{q}-delta3")
-        for delta in (4, 5):
+        for delta in (2, 4, 5, 6):
             if q <= 16 and delta <= q + 1:
                 yield pytest.param(p, s, delta, id=f"q{q}-delta{delta}")
+
+
+def _check_unit_coords(ctx, ks):
+    coords = ctx.unit_coords
+    assert coords.shape == (2, ctx.q + 1) and coords.dtype == np.int16
+    for k in ks:
+        c0, c1 = reference.split_on_basis(ctx, ctx.exp_at((ctx.q - 1) * k))
+        assert (coords[0, k], coords[1, k]) == (ctx.sub_index[c0], ctx.sub_index[c1]), k
+    assert ctx.unit_coords is coords  # built once
+
+
+def test_unit_coords_every_golden_field():
+    for g in json.loads((HERE / "golden" / "fields.json").read_text()):
+        ctx = FieldContext(g["p"], g["s"], 4096)  # not cached: 70 fields
+        _check_unit_coords(ctx, range(ctx.q + 1))
+
+
+def test_unit_coords_q4096_sample():
+    ctx = build_field(2, 12)
+    ks = np.random.default_rng(4096).integers(0, ctx.q + 1, size=256)
+    _check_unit_coords(ctx, [int(k) for k in ks])
+
+
+@pytest.mark.parametrize("p,s", [(p, s) for _, p, s in prime_powers_upto(16)])
+def test_minimal_polynomial_matches_coset_product(p, s):
+    # every e modulo every n | q^2 - 1, not only the n = q + 1 of the codes
+    ctx = build_field(p, s)
+    for n in (d for d in range(1, ctx.q2) if (ctx.q2 - 1) % d == 0):
+        for e in range(n):
+            assert minimal_polynomial(ctx, e, n) == reference.minimal_polynomial(ctx, e, n)
 
 
 @pytest.mark.parametrize("p,s,delta", _grid())
