@@ -20,9 +20,9 @@ Three independent routes to the same numbers:
 Every engine that finds a value emits a witness that ``verify_witness``
 re-validates from scratch.
 
-The engines carry no cap on q: which engine runs on which code is decided in
-``harness``.  The only limit here is ``EXHAUSTIVE_CAP`` on the number of
-words an exhaustive enumeration may visit.
+The engines carry no cap on q: the one limit on q is the table cap that
+``build_field`` checks.  The only limit here is ``EXHAUSTIVE_CAP`` on the
+number of words an exhaustive enumeration may visit.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ vectors summed mod p, with no Zech logarithm.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,6 +60,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_table_cap(q: int, max_q: int) -> None:
+    """Raise ValueError when q is past the table cap ``max_q``."""
+    if q > max_q:
+        raise ValueError(f"q={q} exceeds the table cap {max_q}; raise the cap explicitly")
+
+
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors by trial division."""
     out = []
@@ -87,10 +93,7 @@ class FieldContext:
         if s < 1:
             raise ValueError(f"s={s} must be >= 1")
         q = p**s
-        if q > max_q:
-            raise ValueError(
-                f"q={q} exceeds the table cap {max_q}; raise the cap explicitly"
-            )
+        check_table_cap(q, max_q)
         if q > 1 << 15:
             # compact labels are int16, element indices and logs int32
             raise ValueError(f"q={q} is too large for the int16 subfield tables")
@@ -105,17 +108,6 @@ class FieldContext:
         self.beta = int(self.exp[(q - 1) % self.order])
         # alpha^log_minus_one = -1
         self.log_minus_one = 0 if p == 2 else self.order // 2
-        # lazy caches for vector kernels
-        self._digits = None
-        self._zech = None
-        self._zech_residues = None
-        self._unit_coords = None
-        self._sub_sorted = None
-        self._sub_index = None
-        self._add_table = None
-        self._mul_table = None
-        self._neg_table = None
-        self._inv_table = None
 
     # -- construction ------------------------------------------------------
 
@@ -287,33 +279,36 @@ class FieldContext:
 
     # -- compact subfield view and numpy tables ------------------------------
 
-    @property
+    @cached_property
     def digits(self) -> np.ndarray:
         """(q^2, 2s) matrix of base-p digits of every element index, in the
         smallest unsigned type that holds p - 1."""
-        if self._digits is None:
-            digits = np.empty((self.q2, 2 * self.s), dtype=np.min_scalar_type(self.p - 1))
-            idx = np.arange(self.q2, dtype=np.int64)
-            for j in range(2 * self.s):
-                digits[:, j] = idx % self.p
-                idx //= self.p
-            self._digits = digits
-        return self._digits
+        digits = np.empty((self.q2, 2 * self.s), dtype=np.min_scalar_type(self.p - 1))
+        idx = np.arange(self.q2, dtype=np.int64)
+        for j in range(2 * self.s):
+            digits[:, j] = idx % self.p
+            idx //= self.p
+        return digits
 
-    @property
+    @cached_property
     def zech(self) -> np.ndarray:
         """Zech logarithms: zech[k] = log(1 + alpha^k), or -1 where 1 + alpha^k = 0.
 
         Adding 1 raises the lowest base-p digit of the element index by one
         (mod p; XOR 1 for p = 2), and log[0] = -1 marks the zero sum.  The
         only -1 entry sits at the k with alpha^k = -1, ``log_minus_one``.
+        The index of 1 + alpha^k is built in place, so at most two int32
+        temporaries of q^2 entries are alive next to ``exp`` and ``log``.
         """
-        if self._zech is None:
-            low = self.exp % self.p
-            self._zech = self.log[self.exp - low + (low + 1) % self.p]
-        return self._zech
+        low = self.exp % self.p
+        idx = self.exp - low
+        low += 1
+        low %= self.p
+        idx += low
+        del low
+        return self.log[idx]
 
-    @property
+    @cached_property
     def zech_residues(self) -> np.ndarray:
         """(q-1, q+1) uint16 table: row v, column j holds
         zech[v + (q-1)j] mod (q+1).
@@ -324,14 +319,12 @@ class FieldContext:
         ``log_minus_one``, lies in row 0 (it is a multiple of q - 1), and its
         cell holds 0: a reader must correct that cell itself.
         """
-        if self._zech_residues is None:
-            q = self.q
-            # reduce and narrow in the zech order, then transpose the narrow copy
-            flat = (self.zech % (q + 1)).astype(np.uint16)
-            res = np.ascontiguousarray(flat.reshape(q + 1, q - 1).T)
-            res[0, self.log_minus_one // (q - 1)] = 0
-            self._zech_residues = res
-        return self._zech_residues
+        q = self.q
+        # reduce and narrow in the zech order, then transpose the narrow copy
+        flat = (self.zech % (q + 1)).astype(np.uint16)
+        res = np.ascontiguousarray(flat.reshape(q + 1, q - 1).T)
+        res[0, self.log_minus_one // (q - 1)] = 0
+        return res
 
     def log_add(self, la, lb) -> np.ndarray:
         """log(alpha^la + alpha^lb) elementwise (broadcast), -1 where the sum is 0.
@@ -362,7 +355,7 @@ class FieldContext:
                 return False
         return True
 
-    @property
+    @cached_property
     def unit_coords(self) -> np.ndarray:
         """(2, q+1) int16 table: column k holds the compact labels of c0 and c1,
         where beta^k = c0 + c1*alpha with c0, c1 in GF(q).
@@ -370,39 +363,34 @@ class FieldContext:
         For e = c0 + c1*alpha, e^q = c0 + c1*alpha^q, so
         c1 = (e - e^q)/(alpha - alpha^q) and c0 = e - c1*alpha, all in logs.
         """
-        if self._unit_coords is None:
-            q, m, order = self.q, self.log_minus_one, self.order
-            e = (q - 1) * np.arange(q + 1, dtype=np.int64)  # log beta^k, never -1
-            diff = self.log_add(e, (q * e + m) % order)  # e - e^q
-            denom = self.log_add(1, (q + m) % order)  # alpha - alpha^q, nonzero
-            c1 = np.where(diff < 0, -1, (diff - denom) % order)
-            c0 = self.log_add(e, np.where(c1 < 0, -1, (c1 + 1 + m) % order))
-            self._unit_coords = self.sub_index[self.from_log(np.stack((c0, c1)))]
-        return self._unit_coords
+        q, m, order = self.q, self.log_minus_one, self.order
+        e = (q - 1) * np.arange(q + 1, dtype=np.int64)  # log beta^k, never -1
+        diff = self.log_add(e, (q * e + m) % order)  # e - e^q
+        denom = self.log_add(1, (q + m) % order)  # alpha - alpha^q, nonzero
+        c1 = np.where(diff < 0, -1, (diff - denom) % order)
+        c0 = self.log_add(e, np.where(c1 < 0, -1, (c1 + 1 + m) % order))
+        return self.sub_index[self.from_log(np.stack((c0, c1)))]
 
     def from_log(self, logs) -> np.ndarray:
         """Elements alpha^logs for logs in [0, order), and 0 where a log is -1."""
         logs = np.asarray(logs, dtype=np.int64)
         return np.where(logs < 0, 0, self.exp[logs])
 
-    @property
+    @cached_property
     def sub_sorted(self) -> np.ndarray:
         """Element indices of GF(q), ascending; position = compact label."""
-        if self._sub_sorted is None:
-            elems = [0] + [self.exp_at((self.q + 1) * t) for t in range(self.q - 1)]
-            self._sub_sorted = np.array(sorted(elems), dtype=np.int64)
-            if len(self._sub_sorted) != self.q:
-                raise AssertionError("subfield size mismatch")  # unreachable
-        return self._sub_sorted
+        elems = [0] + [self.exp_at((self.q + 1) * t) for t in range(self.q - 1)]
+        out = np.array(sorted(elems), dtype=np.int64)
+        if len(out) != self.q:
+            raise AssertionError("subfield size mismatch")  # unreachable
+        return out
 
-    @property
+    @cached_property
     def sub_index(self) -> np.ndarray:
         """Inverse of sub_sorted: element index -> int16 compact label, -1 outside."""
-        if self._sub_index is None:
-            inv = np.full(self.q2, -1, dtype=np.int16)
-            inv[self.sub_sorted] = np.arange(self.q, dtype=np.int16)
-            self._sub_index = inv
-        return self._sub_index
+        inv = np.full(self.q2, -1, dtype=np.int16)
+        inv[self.sub_sorted] = np.arange(self.q, dtype=np.int16)
+        return inv
 
     def to_compact(self, arr: np.ndarray) -> np.ndarray:
         out = self.sub_index[np.asarray(arr, dtype=np.int64)]
@@ -413,55 +401,47 @@ class FieldContext:
     def from_compact(self, arr: np.ndarray) -> np.ndarray:
         return self.sub_sorted[np.asarray(arr, dtype=np.int64)]
 
-    @property
+    @cached_property
     def add_table(self) -> np.ndarray:
         """(q, q) addition table over compact subfield labels, from log_add,
         filled in blocks of rows of at most _BLOCK_CELLS cells."""
-        if self._add_table is None:
-            q = self.q
-            logs = self.log[self.sub_sorted]  # -1 at label 0, the zero element
-            table = np.empty((q, q), dtype=np.int16)
-            rows = max(1, _BLOCK_CELLS // q)
-            for start in range(0, q, rows):
-                total = self.log_add(logs[start : start + rows, None], logs[None, :])
-                table[start : start + rows] = self.sub_index[self.from_log(total)]
-            self._add_table = table
-        return self._add_table
+        q = self.q
+        logs = self.log[self.sub_sorted]  # -1 at label 0, the zero element
+        table = np.empty((q, q), dtype=np.int16)
+        rows = max(1, _BLOCK_CELLS // q)
+        for start in range(0, q, rows):
+            total = self.log_add(logs[start : start + rows, None], logs[None, :])
+            table[start : start + rows] = self.sub_index[self.from_log(total)]
+        return table
 
-    @property
+    @cached_property
     def mul_table(self) -> np.ndarray:
         """(q, q) multiplication table over compact subfield labels."""
-        if self._mul_table is None:
-            logs = np.zeros(self.q, dtype=np.int32)
-            nz = self.sub_sorted[1:]
-            logs[1:] = self.log[nz]
-            esum = logs[:, None] + logs[None, :]  # below 2^25: int32 suffices
-            esum %= self.order
-            prod = self.sub_index[self.exp[esum]]
-            prod[0, :] = 0
-            prod[:, 0] = 0
-            self._mul_table = prod
-        return self._mul_table
+        logs = np.zeros(self.q, dtype=np.int32)
+        nz = self.sub_sorted[1:]
+        logs[1:] = self.log[nz]
+        esum = logs[:, None] + logs[None, :]  # below 2^25: int32 suffices
+        esum %= self.order
+        prod = self.sub_index[self.exp[esum]]
+        prod[0, :] = 0
+        prod[:, 0] = 0
+        return prod
 
-    @property
+    @cached_property
     def neg_table(self) -> np.ndarray:
         """Compact negatives: -a = alpha^(log a + log(-1))."""
-        if self._neg_table is None:
-            t = np.zeros(self.q, dtype=np.int16)
-            nz = self.sub_sorted[1:]
-            t[1:] = self.sub_index[self.exp[(self.log[nz] + self.log_minus_one) % self.order]]
-            self._neg_table = t
-        return self._neg_table
+        t = np.zeros(self.q, dtype=np.int16)
+        nz = self.sub_sorted[1:]
+        t[1:] = self.sub_index[self.exp[(self.log[nz] + self.log_minus_one) % self.order]]
+        return t
 
-    @property
+    @cached_property
     def inv_table(self) -> np.ndarray:
         """Compact inverses; entry 0 is a sentinel and must not be used."""
-        if self._inv_table is None:
-            t = np.zeros(self.q, dtype=np.int16)
-            nz = self.sub_sorted[1:]
-            t[1:] = self.sub_index[self.exp[(-self.log[nz]) % self.order]]
-            self._inv_table = t
-        return self._inv_table
+        t = np.zeros(self.q, dtype=np.int16)
+        nz = self.sub_sorted[1:]
+        t[1:] = self.sub_index[self.exp[(-self.log[nz]) % self.order]]
+        return t
 
 
 @lru_cache(maxsize=32)
@@ -487,4 +467,11 @@ build_field.cache_info = _cached_field.cache_info
 build_field.cache_clear = _cached_field.cache_clear
 
 
-__all__ = ["FieldContext", "build_field", "is_prime", "prime_factors", "MAX_TABLE_Q"]
+__all__ = [
+    "FieldContext",
+    "build_field",
+    "check_table_cap",
+    "is_prime",
+    "prime_factors",
+    "MAX_TABLE_Q",
+]

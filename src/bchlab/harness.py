@@ -8,14 +8,16 @@ byte-identical across runs in ``--stable`` mode.  ``check_theorems`` and
 ``check_conjecture`` drive the same machinery for the cross-validation and
 the two open conjectures.
 
-This module is the one place that decides which engine runs on which q:
-the engines themselves carry no q-cap.  The caps are the fields of
-:class:`AnalyzeOptions` and ``DUAL_ENUM_CAP_Q``; an engine past its cap is
-skipped, and its record carries a ``skipped-cap`` method tag.
+The engines carry no q-cap.  The one limit on q is the field table cap,
+``AnalyzeOptions.max_table_q`` (``--max-table-q``): ``build_field`` checks it,
+and within it ``analyze`` runs every engine on every code.  ``sweep`` and
+``check_theorems`` reject a grid that reaches past it before analyzing
+anything, and ``check_conjecture`` marks such an instance UNREACHED.  Only
+``dual-distance --method dual-enum`` stops earlier, at ``DUAL_ENUM_CAP_Q``.
 
 Exit codes: 0 = everything matches (findings allowed), 1 = a theorem
-prediction disagrees with ground truth, 2 = invalid invocation or an output
-path that cannot be written.
+prediction disagrees with ground truth, 2 = invalid invocation (a q past the
+table cap included) or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -32,25 +34,26 @@ from math import gcd
 from typing import get_args, get_type_hints
 
 from . import bch, distance, theory
-from .field import MAX_TABLE_Q, build_field, is_prime
+from .field import MAX_TABLE_Q, build_field, check_table_cap, is_prime
 
 
-# dual enumeration cross-checks root counting up to this q; the CLI's
-# ``dual-distance --method dual-enum`` stops at it too
+# ``dual-distance --method dual-enum`` stops at this q, before the field is
+# built: a non-degenerate dual has dimension 4, and 81^4 words stay within
+# ``distance.EXHAUSTIVE_CAP``
 DUAL_ENUM_CAP_Q = 81
 
 
 @dataclass(frozen=True)
 class AnalyzeOptions:
-    """The q-caps of ``analyze`` (an engine runs only where q <= its cap) and
-    its two optional cross-checks."""
+    """The field table cap of ``analyze``: a q past it raises ValueError, and
+    within it every engine runs."""
 
-    column_cap_q: int = MAX_TABLE_Q
-    root_cap_q: int = MAX_TABLE_Q
-    resolve_cap_q: int = MAX_TABLE_Q  # even-q quadruple search
     max_table_q: int = MAX_TABLE_Q
-    cross_check_dual: bool = False  # also run dual-enum and require agreement
-    exhaustive_check: bool = False  # also run exhaustive d and require agreement
+
+    @property
+    def resolve_cap_q(self) -> int:
+        """The q up to which the even-q quadruple search runs: the table cap."""
+        return self.max_table_q
 
 
 @dataclass
@@ -85,7 +88,10 @@ class CodeRecord:
 
 
 def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> CodeRecord:
-    """Construct one delta = 3 code, measure it, and compare against predictions."""
+    """Construct one delta = 3 code, measure it, and compare against predictions.
+
+    Raises ValueError when q = p^s is past the table cap.
+    """
     opts = options or AnalyzeOptions()
     q = p**s
     rec = CodeRecord(p=p, s=s, q=q, h=h, n=q + 1, delta=3)
@@ -93,10 +99,6 @@ def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> Co
     mismatches: list[str] = []
     findings: list[str] = []
     errors: list[str] = []
-
-    if q > opts.max_table_q:
-        rec.error = f"q={q} exceeds table cap {opts.max_table_q}"
-        return rec
 
     ctx = build_field(p, s, opts.max_table_q)
     code = bch.build_bch(ctx, 3, h)
@@ -112,7 +114,7 @@ def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> Co
         mismatches.append(
             f"dual dimension: computed {rec.k_dual}, predicted {rec.predicted_k_dual}"
         )
-    pred = theory.predict_min_distance(ctx, h, resolve=q <= opts.resolve_cap_q)
+    pred = theory.predict_min_distance(ctx, h, resolve=True)
     rec.predicted_d = pred.outcome
     rec.resolved_d = pred.resolved
     bounds = theory.dual_distance_bounds(q, h)
@@ -120,55 +122,27 @@ def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> Co
         rec.bounds_lo, rec.bounds_hi = bounds
 
     # ground truth: minimum distance
-    if q <= opts.column_cap_q:
-        res_d = distance.min_distance_by_columns(code)
-        rec.method_d = res_d.method
-        rec.d = res_d.value
-        if res_d.value is not None and not distance.verify_witness(code, res_d):
-            errors.append("column-search witness failed re-validation")
-        if opts.exhaustive_check and rec.k and q**code.k <= distance.EXHAUSTIVE_CAP:
-            res_e = distance.exhaustive_min_distance(ctx, bch.generator_matrix(code))
-            if res_e.value != rec.d:
-                errors.append(
-                    f"engine disagreement: exhaustive d={res_e.value}, "
-                    f"column-search d={rec.d}"
-                )
-    else:
-        rec.method_d = "skipped-cap"
+    res_d = distance.min_distance_by_columns(code)
+    rec.method_d = res_d.method
+    rec.d = res_d.value
+    if res_d.value is not None and not distance.verify_witness(code, res_d):
+        errors.append("column-search witness failed re-validation")
 
     # ground truth: dual distance
-    if q <= opts.root_cap_q:
-        res_dd = distance.dual_min_distance(code, "root-count")
-        rec.method_d_dual = res_dd.method
-        rec.d_dual = res_dd.value
-        if not distance.verify_witness(code, res_dd):
-            errors.append("dual witness failed re-validation")
-        if opts.cross_check_dual and q <= DUAL_ENUM_CAP_Q:
-            res_de = distance.dual_min_distance(code, "dual-enum")
-            if res_de.value != rec.d_dual:
-                errors.append(
-                    f"engine disagreement: dual-enum {res_de.value}, "
-                    f"root-count {rec.d_dual}"
-                )
-            else:
-                rec.method_d_dual = "root-count+dual-enum"
-    else:
-        rec.method_d_dual = "skipped-cap"
+    res_dd = distance.dual_min_distance(code, "root-count")
+    rec.method_d_dual = res_dd.method
+    rec.d_dual = res_dd.value
+    if not distance.verify_witness(code, res_dd):
+        errors.append("dual witness failed re-validation")
 
     # derived audit columns
-    if rec.d is not None:
-        if rec.d == rec.n - rec.k + 1:
-            rec.class_ = "MDS"
-        elif rec.d_dual is not None:
-            rec.class_ = theory.classify(rec.n, rec.k, rec.d, rec.k_dual, rec.d_dual)
-        elif rec.d == rec.n - rec.k:
-            rec.class_ = "AMDS"  # possibly NMDS; dual distance not computed
-        else:
-            rec.class_ = "other"
-    else:
+    if rec.d is None:
         rec.class_ = "undetermined"
-    nontrivial = rec.k is not None and 1 <= rec.k < rec.n
-    if rec.d_dual is not None and rec.d_dual >= 2 and nontrivial:
+    elif rec.d == rec.n - rec.k + 1:
+        rec.class_ = "MDS"
+    else:
+        rec.class_ = theory.classify(rec.n, rec.k, rec.d, rec.k_dual, rec.d_dual)
+    if rec.d_dual >= 2 and 1 <= rec.k < rec.n:
         rec.locality = theory.locality(rec.d_dual)
         if rec.d is not None:
             audit = theory.lrc_audit(rec.n, rec.k, rec.d, rec.d_dual, q)
@@ -184,17 +158,15 @@ def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> Co
         elif rec.predicted_d == "4or5":
             if rec.d not in (4, 5):
                 mismatches.append(f"distance: computed {rec.d}, predicted 4 or 5")
-            elif rec.resolved_d is not None and rec.d != rec.resolved_d:
+            elif rec.d != rec.resolved_d:
                 findings.append(
                     f"even-q resolution: quadruple search predicts {rec.resolved_d}, "
                     f"ground truth {rec.d}"
                 )
-    if rec.bounds_lo is not None and rec.d_dual is not None:
-        if not rec.bounds_lo <= rec.d_dual <= rec.bounds_hi:
-            mismatches.append(
-                f"dual distance {rec.d_dual} outside "
-                f"[{rec.bounds_lo}, {rec.bounds_hi}]"
-            )
+    if rec.bounds_lo is not None and not rec.bounds_lo <= rec.d_dual <= rec.bounds_hi:
+        mismatches.append(
+            f"dual distance {rec.d_dual} outside [{rec.bounds_lo}, {rec.bounds_hi}]"
+        )
     # LRC optimality theorem: gcd = 1, m >= 4, q > 4h on a non-degenerate offset
     if (
         rec.bounds_hi is not None
@@ -202,7 +174,6 @@ def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> Co
         and (q + 1 - rec.bounds_hi) >= 4
         and q > 4 * h
         and rec.d is not None
-        and rec.d_dual is not None
     ):
         if not rec.d_optimal or not rec.k_optimal:
             mismatches.append(
@@ -229,7 +200,11 @@ def sweep(
     options: AnalyzeOptions | None = None,
     threads: int = 1,
 ) -> list[CodeRecord]:
-    """One record per (p, s, h), ordered by (p, s, h)."""
+    """One record per (p, s, h), ordered by (p, s, h).
+
+    Raises ValueError before analyzing anything when a p is not prime or a
+    q = p^s is past the table cap.
+    """
     opts = options or AnalyzeOptions()
     tasks: list[tuple] = []
     for p in sorted(p_list):
@@ -237,6 +212,7 @@ def sweep(
             raise ValueError(f"p={p} is not prime")
         for s in range(s_min, s_max + 1):
             q = p**s
+            check_table_cap(q, opts.max_table_q)
             if h_policy == "all":
                 hs = range(q + 1)
             else:
@@ -249,8 +225,7 @@ def sweep(
 
         # workers are forked, so fields built here are inherited, not rebuilt
         for p, s in dict.fromkeys((t[0], t[1]) for t in tasks):
-            if p**s <= opts.max_table_q:
-                build_field(p, s, opts.max_table_q)
+            build_field(p, s, opts.max_table_q)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_analyze_args, tasks, chunksize=4))
     return [_analyze_args(t) for t in tasks]
@@ -272,10 +247,16 @@ def prime_powers_upto(max_q: int) -> list[tuple[int, int, int]]:
 def check_theorems(
     max_q: int, options: AnalyzeOptions | None = None, threads: int = 1
 ) -> list[CodeRecord]:
-    """Full cross-validation over every prime power q <= max_q, all offsets."""
+    """Full cross-validation over every prime power q <= max_q, all offsets.
+
+    Raises ValueError before analyzing anything when a q is past the table cap.
+    """
     opts = options or AnalyzeOptions()
+    grid = prime_powers_upto(max_q)
+    for q, _p, _s in grid:
+        check_table_cap(q, opts.max_table_q)
     records: list[CodeRecord] = []
-    for _q, p, s in prime_powers_upto(max_q):
+    for _q, p, s in grid:
         records.extend(sweep([p], s, s, "all", opts, threads=threads))
     return records
 
@@ -285,15 +266,6 @@ def check_theorems(
 # ---------------------------------------------------------------------------
 
 CONJECTURES = ("dual-distance-q-p", "even-s-amds")
-
-
-def _cap_note(q: int, opts: AnalyzeOptions, engine: str, cap: int) -> str:
-    """The cap that leaves q unreached, the table cap first; "" if none does."""
-    if q > opts.max_table_q:
-        return f"q={q} exceeds the table cap {opts.max_table_q}"
-    if q > cap:
-        return f"q={q} exceeds the {engine} cap {cap}"
-    return ""
 
 
 def check_conjecture(
@@ -330,9 +302,9 @@ def check_conjecture(
             if p == 3:
                 row["status"] = "UNREACHED"
                 row["note"] = "h=1 narrow-sense case is covered by the NMDS family"
-            elif note := _cap_note(q, opts, "root-count", opts.root_cap_q):
+            elif q > opts.max_table_q:
                 row["status"] = "UNREACHED"
-                row["note"] = note
+                row["note"] = f"q={q} exceeds the table cap {opts.max_table_q}"
             else:
                 rec = analyze(p, s_val, h, opts)
                 row["d"] = rec.d
@@ -359,9 +331,9 @@ def check_conjecture(
         if s_val % 2 == 1 or s_val < 6:
             row["status"] = "UNREACHED"
             row["note"] = "conjecture concerns even s >= 6"
-        elif note := _cap_note(q, opts, "column-search", opts.column_cap_q):
+        elif q > opts.max_table_q:
             row["status"] = "UNREACHED"
-            row["note"] = note
+            row["note"] = f"q={q} exceeds the table cap {opts.max_table_q}"
         else:
             rec = analyze(2, s_val, 4, opts)
             row["d"] = rec.d
@@ -590,9 +562,7 @@ def _dispatch(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
         }
         if args.delta == 3:
             info["predicted_k"] = theory.predict_dimension(ctx.q, args.h)
-            pred = theory.predict_min_distance(
-                ctx, args.h, resolve=ctx.q <= opts.resolve_cap_q
-            )
+            pred = theory.predict_min_distance(ctx, args.h, resolve=True)
             info["predicted_d"] = pred.outcome
             info["resolved_d"] = pred.resolved
             bounds = theory.dual_distance_bounds(ctx.q, args.h)
@@ -605,9 +575,9 @@ def _dispatch(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
         return 0
 
     if args.command == "dual-distance":
-        cap = opts.root_cap_q if args.method == "root-count" else DUAL_ENUM_CAP_Q
-        if args.p**args.s > cap:  # before the field is built: that alone takes seconds
-            raise ValueError(f"q={args.p**args.s} exceeds {args.method} cap {cap}")
+        q = args.p**args.s
+        if args.method == "dual-enum" and q > DUAL_ENUM_CAP_Q:
+            raise ValueError(f"q={q} exceeds dual-enum cap {DUAL_ENUM_CAP_Q}")
         ctx = build_field(args.p, args.s, opts.max_table_q)
         code = bch.build_bch(ctx, 3, args.h)
         res = distance.dual_min_distance(code, args.method)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -58,33 +59,29 @@ def test_analyze_zero_dimensional_row():
 
 
 def test_analyze_respects_table_cap():
-    rec = analyze(2, 13, 0, AnalyzeOptions())
-    assert rec.error and rec.k is None
+    with pytest.raises(ValueError, match="q=8192 exceeds the table cap 4096"):
+        analyze(2, 13, 0, AnalyzeOptions())
 
 
-def test_analyze_skips_over_engine_caps():
-    opts = AnalyzeOptions(column_cap_q=4, root_cap_q=4)
-    rec = analyze(3, 2, 1, opts)
-    assert rec.d is None and rec.method_d == "skipped-cap"
-    assert rec.d_dual is None and rec.method_d_dual == "skipped-cap"
-    assert rec.k == 6  # construction still runs
-    assert rec.match
+def test_raised_table_cap_measures(monkeypatch):
+    # a table cap raised past the default reaches every engine
+    from bchlab import distance
 
+    assert [f.name for f in fields(AnalyzeOptions)] == ["max_table_q"]
+    assert AnalyzeOptions().resolve_cap_q == 4096
+    found = []
+    search = distance.min_distance_by_columns
 
-def test_raised_root_cap_measures():
-    # a root-count cap at q runs the engine, and a column-search cap below q
-    # skips its engine
-    rec = analyze(1031, 1, 5, AnalyzeOptions(column_cap_q=512, root_cap_q=1031))
-    assert rec.d_dual == 1020 and rec.method_d_dual == "root-count"
-    assert rec.method_d == "skipped-cap"
-    assert rec.match and rec.error == ""
+    def recording_search(code):
+        found.append(search(code))
+        return found[-1]
 
-
-def test_analyze_cross_checks():
-    opts = AnalyzeOptions(cross_check_dual=True, exhaustive_check=True)
-    rec = analyze(3, 2, 1, opts)
-    assert rec.match and rec.error == ""
-    assert rec.method_d_dual == "root-count+dual-enum"
+    monkeypatch.setattr(distance, "min_distance_by_columns", recording_search)
+    rec = analyze(4099, 1, 5, AnalyzeOptions(max_table_q=4099))
+    assert rec.d == 4 and rec.method_d == "column-search"
+    assert found[0].witness.cols == (0, 1, 2, 2051)
+    assert rec.d_dual == 4090 and rec.method_d_dual == "root-count"
+    assert rec.match and rec.error == ""  # both witnesses were re-validated
 
 
 def test_sweep_ordering_and_gcd_pattern():
@@ -221,12 +218,8 @@ def test_conjecture_notes_name_the_binding_cap():
     assert by_p[7]["status"] == "CONFIRMED"
     assert by_p[11]["status"] == "UNREACHED"
     assert by_p[11]["note"] == "q=121 exceeds the table cap 100"
-    rows = check_conjecture("dual-distance-q-p", p_max=7, options=AnalyzeOptions(root_cap_q=30))
-    assert rows[-1]["note"] == "q=49 exceeds the root-count cap 30"
     (row,) = check_conjecture("even-s-amds", s=6, options=AnalyzeOptions(max_table_q=32))
     assert row["status"] == "UNREACHED" and row["note"] == "q=64 exceeds the table cap 32"
-    (row,) = check_conjecture("even-s-amds", s=6, options=AnalyzeOptions(column_cap_q=32))
-    assert row["note"] == "q=64 exceeds the column-search cap 32"
 
 
 def test_conjecture_unknown_name():
@@ -257,7 +250,10 @@ def test_cli_dual_distance(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--p", "4099", "--s", "1", "--h", "5"], "q=4099 exceeds root-count cap 4096"),
+        (
+            ["--p", "4099", "--s", "1", "--h", "5"],
+            "q=4099 exceeds the table cap 4096; raise the cap explicitly",
+        ),
         (
             ["--p", "83", "--s", "1", "--h", "1", "--method", "dual-enum"],
             "q=83 exceeds dual-enum cap 81",
@@ -269,6 +265,35 @@ def test_cli_dual_distance_past_cap_exits_2(argv, message, capsys):
     assert main(["dual-distance"] + argv) == 2
     out = capsys.readouterr()
     assert out.err == f"error: {message}\n" and out.out == ""
+
+
+def test_cli_dual_distance_raised_table_cap(capsys):
+    argv = ["--max-table-q", "4099", "dual-distance", "--p", "4099", "--s", "1", "--h", "5"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "d_dual = 4090" in out and "witness verified = True" in out
+
+
+@pytest.mark.parametrize(
+    "argv, q",
+    [
+        (["sweep", "--p", "2", "--s-min", "4", "--s-max", "5", "--out", "rows.csv"], 32),
+        (["check-theorems", "--max-q", "32"], 17),
+    ],
+    ids=["sweep", "check-theorems"],
+)
+def test_cli_past_table_cap_exits_2_before_analyzing(argv, q, tmp_path, monkeypatch, capsys):
+    from bchlab import harness
+
+    def no_analyze(*args):
+        raise AssertionError("analyze ran on a grid past the table cap")
+
+    monkeypatch.setattr(harness, "analyze", no_analyze)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--max-table-q", "16"] + argv) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: q={q} exceeds the table cap 16; raise the cap explicitly\n"
+    assert out.out == ""
 
 
 def test_cli_sweep_and_outputs(tmp_path, capsys):
