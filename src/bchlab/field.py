@@ -10,7 +10,9 @@ monic irreducible (coefficient tuples compared low degree first) and the
 generator ``alpha`` is the first element, in enumeration order, of
 multiplicative order q^2 - 1.  ``beta = alpha^(q-1)`` generates the group
 U_{q+1} of (q+1)-th roots of unity, and the embedded GF(q) is the fixed field
-of the Frobenius map x -> x^q.
+of the Frobenius map x -> x^q.  The exp table is filled on packed indices,
+one GF(p)-linear map per stride through two size-q tables; no per-element
+matrix product is formed past its first block.
 
 For bulk kernels the context also exposes elementwise addition of discrete
 logs through Zech logarithms (``log_add``), and a compact relabelling of the
@@ -25,7 +27,8 @@ vectors summed mod p, with no Zech logarithm.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from collections import OrderedDict, namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +36,16 @@ from .polynomial import is_irreducible
 
 MAX_TABLE_Q = 1 << 12  # default cap: exp/log tables of ~2^24 entries
 
-# Cells of the (rows, 2s) digit block the exp/log fill multiplies at a time:
-# 128 KB of int64, so the allocator recycles the blocks instead of mapping
-# fresh pages for each one.  The scatter into log dominates at large q, where
-# the block size makes no measurable difference.
+# Cells of the (B, 2s) digit rows of the exp fill's first block, built by
+# matrix doubling: 128 KB of int64.  Every q <= 32 field fits in one block.
 _FILL_CELLS = 1 << 14
+
+# Longest stride of the exp fill past its first block (its temporaries stay
+# under 1 MB), and the most lane bits one packing table of the odd-p fill
+# reads: 2^15 int32 entries, 128 KB.  The scatter into log dominates at large
+# q: a random write per entry.
+_FILL_STRIDE = 1 << 16
+_PACK_BITS = 15
 
 # Cells per block of rows for the (q, q) add table and the digit sums of
 # sums_vanish, so that their int64 temporaries stay at a few MB at q = 4096;
@@ -103,8 +111,8 @@ class FieldContext:
         self.q2 = q * q
         self.order = self.q2 - 1
         self.modulus = self._find_modulus()
-        self.alpha = self._find_generator()
-        self.exp, self.log = self._exp_log_tables(self.alpha)
+        self.alpha, squares = self._find_generator()
+        self.exp, self.log = self._exp_log_tables(self.alpha, squares)
         self.beta = int(self.exp[(q - 1) % self.order])
         # alpha^log_minus_one = -1
         self.log_minus_one = 0 if p == 2 else self.order // 2
@@ -135,70 +143,160 @@ class FieldContext:
     # int64: numpy multiplies those in its own loop, not through BLAS, whose
     # worker threads stay spinning on the other cores after a large product.
 
-    def _mul_matrix(self, c: int) -> np.ndarray:
+    def _mul_matrix(self, c) -> np.ndarray:
+        """M_c, or for an array of indices c the stack (..., 2s, 2s).
+
+        Row j of M_c is sum_k c_k x^(j+k) mod f, so one product of the digits
+        of c with the digits of x^0 .. x^(4s-2) mod f gives every row.
+        """
         p, deg = self.p, 2 * self.s
-        low = np.array(self.modulus[:deg], dtype=np.int64)
-        out = np.empty((deg, deg), dtype=np.int64)
-        row = c // p ** np.arange(deg, dtype=np.int64) % p
-        for j in range(deg):
-            out[j] = row
-            row = (np.concatenate(([0], row[:-1])) - row[-1] * low) % p  # x * row mod f
-        return out
+        xs = [[1] + [0] * (deg - 1)]
+        for _ in range(2 * deg - 2):
+            top = xs[-1][-1]
+            xs.append([(a - top * b) % p for a, b in zip([0] + xs[-1][:-1], self.modulus)])
+        k = np.arange(deg)
+        shifted = np.array(xs, dtype=np.int64)[k[:, None] + k].reshape(deg, deg * deg)
+        digits = np.asarray(c, dtype=np.int64)[..., None] // p**k % p
+        return (digits @ shifted % p).reshape(digits.shape[:-1] + (deg, deg))
 
-    def _pow_matrix(self, m: np.ndarray, e: int) -> np.ndarray:
-        acc = np.eye(len(m), dtype=np.int64)
-        while e:
-            if e & 1:
-                acc = acc @ m % self.p
-            m = m @ m % self.p
-            e >>= 1
-        return acc
+    def _find_generator(self) -> tuple[int, list[np.ndarray]]:
+        """First g >= 2 with g^(order/r) != 1 for every prime r | order, and
+        the squares M_g^(2^k) its test computed, which seed the exp fill.
 
-    def _find_generator(self) -> int:
-        """First g >= 2 with g^(order/r) != 1 for every prime r | order."""
+        The search starts at max(2, p): an index g < p is a constant of
+        GF(p)^*, whose order divides p - 1 < q^2 - 1, so it is never a
+        generator and is not tested.  Candidates are tested in batches that
+        start at two and double: each batch is a stack of matrices M_g whose
+        repeated squares are shared by every exponent order/r.  The first
+        passing candidate of the first batch that has one is returned.
+        """
+        p = self.p
         checks = [self.order // r for r in prime_factors(self.order)]
         one = np.eye(2 * self.s, dtype=np.int64)
-        for g in range(2, self.q2):
-            m = self._mul_matrix(g)
-            if not any(np.array_equal(self._pow_matrix(m, e), one) for e in checks):
-                return g
+        start, batch = max(2, p), 2
+        while start < self.q2:
+            cands = np.arange(start, min(start + batch, self.q2))
+            squares = [self._mul_matrix(cands)]  # M_g^(2^k) for every bit k
+            while len(squares) < max(checks).bit_length():
+                squares.append(squares[-1] @ squares[-1] % p)
+            ok = np.ones(len(cands), dtype=bool)
+            for e in checks:
+                power = one
+                for k, square in enumerate(squares):
+                    if e >> k & 1:
+                        power = power @ square % p
+                ok &= (power != one).any(axis=(1, 2))
+            if ok.any():
+                i = int(ok.argmax())
+                return int(cands[i]), [square[i] for square in squares]
+            start += batch
+            batch *= 2
         raise AssertionError("no generator found")  # unreachable
 
-    def _exp_log_tables(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+    def _exp_log_tables(self, g: int, squares=None) -> tuple[np.ndarray, np.ndarray]:
         """exp[i] = g^i for i < order, and log, its inverse, with log[0] = -1.
 
-        The digit rows of g^i are filled in blocks of B rows, a power of two
-        with B * 2s <= _FILL_CELLS: the first block by doubling, each next
-        one as the previous block times M_(g^B).  A block is packed to
-        indices with one dot against p^j and scattered into log.  Both tables
-        are int32 (every index and log is below q^2); arithmetic on logs
-        widens to int64 first, since a log times q overflows int32.
+        ``squares`` lists M_g^(2^k) for k = 0, 1, ...; the fill extends it as
+        far as it needs, and builds it from M_g when it is not given.
+
+        The first block of B entries, a power of two with B * 2s <=
+        _FILL_CELLS, is built as digit rows: rows n..2n-1 are rows 0..n-1
+        times M_(g^n), for n = 1, 2, 4, ...; every q <= 32 field fits in it.
+        Past it, exp[n + i] = g^n * exp[i] for a stride n that keeps doubling
+        up to _FILL_STRIDE, on packed indices.  Multiplication by c = g^n is
+        GF(p)-linear on digit vectors, so the image of an index lo + q*hi
+        (lo, hi < q) is the sum of two size-q tables, the images of lo and of
+        q*hi (``_half_images``), built only once a second block is needed.
+        For p = 2 the sum is one XOR.  For odd p the two images hold their
+        digits in bit lanes wide enough for a sum of two digits, so one
+        integer addition adds every digit, and ``_lane_packers`` reduce the
+        lanes mod p and pack them a few lanes at a time.  No (B, 2s) digit
+        matrix is formed past the first block.
+
+        Both tables are int32 (every index and log is below q^2); arithmetic
+        on logs widens to int64 first, since a log times q overflows int32.
+        The table must close (g^order = 1) and reach every nonzero index.
         """
-        p, deg, order = self.p, 2 * self.s, self.order
+        p, q, deg, order = self.p, self.q, 2 * self.s, self.order
+        squares = [self._mul_matrix(g)] if squares is None else list(squares)
+
+        def power(n: int) -> np.ndarray:  # M_(g^n) for a power of two n
+            while len(squares) < n.bit_length():
+                squares.append(squares[-1] @ squares[-1] % p)
+            return squares[n.bit_length() - 1]
+
         block = min(order, 1 << ((_FILL_CELLS // deg).bit_length() - 1))
         rows = np.zeros((1, deg), dtype=np.int64)
         rows[0, 0] = 1
-        mul_g = step = self._mul_matrix(g)
         while len(rows) < block:
-            rows = np.vstack((rows, rows @ step % p))
-            step = step @ step % p
+            rows = np.vstack((rows, rows @ power(len(rows)) % p))
         pack = p ** np.arange(deg, dtype=np.int64)
         exp = np.empty(order, dtype=np.int32)
         log = np.full(self.q2, -1, dtype=np.int32)
-        for start in range(0, order, len(rows)):
-            if start:
-                rows = rows @ step
-                rows %= p
-            chunk = rows[: order - start]
-            idx = chunk @ pack
-            exp[start : start + len(idx)] = idx
-            log[idx] = np.arange(start, start + len(idx), dtype=np.int32)
-        closing = chunk[-1] @ mul_g % p
+        exp[:block] = rows[:block] @ pack
+        start = stride = block
+        if start < order:
+            lo_img, hi_img = self._half_images(power(stride))
+            packers = None if p == 2 else self._lane_packers()
+        while start < order:
+            stop = min(start + stride, order)
+            src = exp[start - stride : stop - stride]
+            if p == 2:
+                new = lo_img[src & (q - 1)]
+                new ^= hi_img[src >> self.s]
+            else:
+                hi, lo = np.divmod(src, q)
+                lanes = lo_img[lo]
+                lanes += hi_img[hi]
+                new = sum(table[lanes >> shift & mask] for shift, mask, table in packers)
+            exp[start:stop] = new
+            start = stop
+            if stride < _FILL_STRIDE and start < order:
+                stride *= 2  # start == stride: the next block reads exp[:stride]
+                lo_img, hi_img = self._half_images(power(stride))
+        for start in range(0, order, _FILL_STRIDE):
+            stop = min(start + _FILL_STRIDE, order)
+            log[exp[start:stop]] = np.arange(start, stop, dtype=np.int32)
+        closing = (int(exp[-1]) // pack % p) @ squares[0] % p
         if closing[0] != 1 or closing[1:].any():
             raise AssertionError("exp table does not close")
         if (log[1:] < 0).any():
             raise AssertionError("generator order too small")
         return exp, log
+
+    def _lane_width(self) -> int:
+        """Bits per digit lane: 1 for p = 2, else enough for a sum of two digits."""
+        return 1 if self.p == 2 else (2 * self.p - 2).bit_length()
+
+    def _half_images(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Images of lo and of q*hi (lo, hi < q) under the map with matrix m.
+
+        For p = 2 the images are int32 indices.  For odd p they are int64
+        lane words, digit j in bits [j*w, (j+1)*w) for w = ``_lane_width``,
+        so that two images add digit by digit with no carry between lanes.
+        """
+        s, w, half = self.s, self._lane_width(), self._half_digits
+        weights = np.int64(1) << (w * np.arange(2 * s, dtype=np.int64))
+        dtype = np.int32 if self.p == 2 else np.int64
+        lo_img = (half @ m[:s] % self.p @ weights).astype(dtype)
+        hi_img = (half @ m[s:] % self.p @ weights).astype(dtype)
+        return lo_img, hi_img
+
+    def _lane_packers(self) -> list[tuple[int, int, np.ndarray]]:
+        """(shift, mask, table) per group of at most _PACK_BITS bits of digit
+        lanes: table[(word >> shift) & mask] is that group's lane sums, each
+        reduced mod p, packed into its part of an element index.  A group's
+        table is the outer sum of its lanes' own tables of 2^w entries."""
+        p, deg, w = self.p, 2 * self.s, self._lane_width()
+        lane = np.arange(1 << w, dtype=np.int32) % p
+        per = max(1, _PACK_BITS // w)  # lanes per group
+        out = []
+        for j in range(0, deg, per):
+            table = np.zeros(1, dtype=np.int32)
+            for i in range(j, min(j + per, deg)):
+                table = (lane[:, None] * p**i + table[None, :]).ravel()
+            out.append((j * w, len(table) - 1, table))
+        return out
 
     # -- scalar arithmetic ---------------------------------------------------
 
@@ -280,15 +378,30 @@ class FieldContext:
     # -- compact subfield view and numpy tables ------------------------------
 
     @cached_property
+    def _half_digits(self) -> np.ndarray:
+        """(q, s) base-p digits of 0..q-1, in the smallest unsigned type that
+        holds p - 1."""
+        half = np.empty((self.q, self.s), dtype=np.min_scalar_type(self.p - 1))
+        idx = np.arange(self.q, dtype=np.int64)
+        for j in range(self.s):
+            half[:, j] = idx % self.p
+            idx //= self.p
+        return half
+
+    @cached_property
     def digits(self) -> np.ndarray:
         """(q^2, 2s) matrix of base-p digits of every element index, in the
-        smallest unsigned type that holds p - 1."""
-        digits = np.empty((self.q2, 2 * self.s), dtype=np.min_scalar_type(self.p - 1))
-        idx = np.arange(self.q2, dtype=np.int64)
-        for j in range(2 * self.s):
-            digits[:, j] = idx % self.p
-            idx //= self.p
-        return digits
+        smallest unsigned type that holds p - 1.
+
+        Index lo + q*hi has the digits of lo, then those of hi, so the matrix
+        tiles the (q, s) digits of 0..q-1: along the rows for lo, repeated
+        for hi.
+        """
+        q, s, half = self.q, self.s, self._half_digits
+        digits = np.empty((q, q, 2 * s), dtype=half.dtype)
+        digits[:, :, :s] = half[None, :, :]
+        digits[:, :, s:] = half[:, None, :]
+        return digits.reshape(self.q2, 2 * s)
 
     @cached_property
     def zech(self) -> np.ndarray:
@@ -416,16 +529,17 @@ class FieldContext:
 
     @cached_property
     def mul_table(self) -> np.ndarray:
-        """(q, q) multiplication table over compact subfield labels."""
-        logs = np.zeros(self.q, dtype=np.int32)
-        nz = self.sub_sorted[1:]
-        logs[1:] = self.log[nz]
-        esum = logs[:, None] + logs[None, :]  # below 2^25: int32 suffices
-        esum %= self.order
-        prod = self.sub_index[self.exp[esum]]
-        prod[0, :] = 0
-        prod[:, 0] = 0
-        return prod
+        """(q, q) multiplication table over compact subfield labels, filled in
+        blocks of rows of at most _BLOCK_CELLS cells, like ``add_table``."""
+        q = self.q
+        logs = self.log[self.sub_sorted].astype(np.int64)  # -1 at label 0
+        table = np.zeros((q, q), dtype=np.int16)  # row and column 0 stay 0
+        rows = max(1, _BLOCK_CELLS // q)
+        for start in range(1, q, rows):
+            esum = logs[start : start + rows, None] + logs[None, 1:]
+            esum %= self.order
+            table[start : start + rows, 1:] = self.sub_index[self.exp[esum]]
+        return table
 
     @cached_property
     def neg_table(self) -> np.ndarray:
@@ -444,14 +558,19 @@ class FieldContext:
         return t
 
 
-@lru_cache(maxsize=32)
-def _cached_field(p: int, s: int) -> FieldContext:
-    # build_field has checked the caller's cap
-    return FieldContext(p, s, max_q=p**s)
+# q^2 cells of the fields that build_field keeps.  A miss first drops the
+# least recently used fields until the new one fits beside the rest, so a run
+# over fields past q = 1024 holds one field's tables at a time, while the small
+# fields a sweep or a benchmark revisits stay built.
+_CACHE_CELLS = 1 << 20
+_fields: OrderedDict[tuple[int, int], FieldContext] = OrderedDict()
+_misses = 0
+
+CacheInfo = namedtuple("CacheInfo", "misses currsize")
 
 
 def build_field(p: int, s: int, max_q: int = MAX_TABLE_Q) -> FieldContext:
-    """Deterministic GF(p^(2s)) context, cached per (p, s).
+    """Deterministic GF(p^(2s)) context, cached per (p, s) within _CACHE_CELLS.
 
     The context does not depend on ``max_q``, so the cap is not part of the
     cache key: it is checked on every call, before the cache is read.
@@ -460,11 +579,31 @@ def build_field(p: int, s: int, max_q: int = MAX_TABLE_Q) -> FieldContext:
     """
     if p**s > max_q:
         return FieldContext(p, s, max_q)  # raises: a bad p, or q over the cap
-    return _cached_field(p, s)
+    global _misses
+    key = (p, s)
+    if key in _fields:
+        _fields.move_to_end(key)
+        return _fields[key]
+    _misses += 1
+    cells = p ** (2 * s)
+    while _fields and cells + sum(ctx.q2 for ctx in _fields.values()) > _CACHE_CELLS:
+        _fields.popitem(last=False)
+    _fields[key] = FieldContext(p, s, max_q=p**s)  # build_field has checked the cap
+    return _fields[key]
 
 
-build_field.cache_info = _cached_field.cache_info
-build_field.cache_clear = _cached_field.cache_clear
+def _cache_info() -> CacheInfo:
+    return CacheInfo(_misses, len(_fields))
+
+
+def _cache_clear() -> None:
+    global _misses
+    _fields.clear()
+    _misses = 0
+
+
+build_field.cache_info = _cache_info
+build_field.cache_clear = _cache_clear
 
 
 __all__ = [

@@ -163,10 +163,12 @@ def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> Co
                     f"even-q resolution: quadruple search predicts {rec.resolved_d}, "
                     f"ground truth {rec.d}"
                 )
-    if rec.bounds_lo is not None and not rec.bounds_lo <= rec.d_dual <= rec.bounds_hi:
-        mismatches.append(
-            f"dual distance {rec.d_dual} outside [{rec.bounds_lo}, {rec.bounds_hi}]"
-        )
+    if rec.bounds_lo is not None:
+        # C_(q-h) is the reciprocal code of C_h, with the same d_dual, so past
+        # h = q/2, where q-2h-1 (bounds_lo) is negative, the lower end is q-h's
+        lo = q - 2 * min(h, q - h) - 1
+        if not lo <= rec.d_dual <= rec.bounds_hi:
+            mismatches.append(f"dual distance {rec.d_dual} outside [{lo}, {rec.bounds_hi}]")
     # LRC optimality theorem: gcd = 1, m >= 4, q > 4h on a non-degenerate offset
     if (
         rec.bounds_hi is not None

@@ -4,9 +4,11 @@ An independent, direct implementation of ``bchlab.field.FieldContext``'s
 construction: it tries every monic polynomial of degree 2s in lex order
 (coefficients low degree first, all of them, including those with a root at
 0 or 1), finds the generator by scalar square-and-multiply, and fills the
-exp/log tables one schoolbook product per entry.  It is the oracle for the
-blocked GF(p)-linear fill, and costs O(q^2 * s^2) interpreted steps, so it is
-meant for differential tests at small q only.
+exp/log tables one schoolbook product per entry.  It costs O(q^2 * s^2)
+interpreted steps, so it is meant for differential tests at small q only.
+
+The second half of the file keeps the blocked matrix-product construction,
+the oracle for the library's fill at large q.
 """
 
 from __future__ import annotations
@@ -90,3 +92,81 @@ def field_tables(p: int, s: int):
     if cur != 1:
         raise AssertionError("exp table does not close")  # unreachable
     return modulus, alpha, exp, log
+
+
+# -- the blocked matrix-product construction --------------------------------
+#
+# Multiplication by c is GF(p)-linear on digit vectors: digits(a * c) =
+# digits(a) @ M_c mod p, where row j of M_c holds the digits of c * x^j mod f.
+# The functions below test every candidate generator from 2 by matrix powers
+# and fill exp by multiplying blocks of digit rows by M_(g^B), one (B, 2s) @
+# (2s, 2s) product per block.  They cost O(q^2 * s^2) vectorised steps, so
+# they reach q = 4099 in seconds, and are the oracle for the fill on packed
+# indices at large q.
+
+
+def mul_matrix(c: int, p: int, modulus: tuple[int, ...]) -> np.ndarray:
+    deg = len(modulus) - 1
+    low = np.array(modulus[:deg], dtype=np.int64)
+    out = np.empty((deg, deg), dtype=np.int64)
+    row = c // p ** np.arange(deg, dtype=np.int64) % p
+    for j in range(deg):
+        out[j] = row
+        row = (np.concatenate(([0], row[:-1])) - row[-1] * low) % p  # x * row mod f
+    return out
+
+
+def _pow_matrix(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    acc = np.eye(len(m), dtype=np.int64)
+    while e:
+        if e & 1:
+            acc = acc @ m % p
+        m = m @ m % p
+        e >>= 1
+    return acc
+
+
+def matrix_generator(p: int, modulus: tuple[int, ...]) -> int:
+    """First g >= 2, constants included, whose order is p^(2s) - 1."""
+    deg = len(modulus) - 1
+    order = p**deg - 1
+    checks = [order // r for r in prime_factors(order)]
+    one = np.eye(deg, dtype=np.int64)
+    for g in range(2, order + 1):
+        m = mul_matrix(g, p, modulus)
+        if not any(np.array_equal(_pow_matrix(m, e, p), one) for e in checks):
+            return g
+    raise AssertionError("no generator found")  # unreachable
+
+
+def matrix_fill(p: int, modulus: tuple[int, ...], g: int, block: int = 1 << 14):
+    """(exp, log) as int32: each block of digit rows is the last one times M_(g^B)."""
+    deg = len(modulus) - 1
+    order = p**deg - 1
+    rows = np.zeros((1, deg), dtype=np.int64)
+    rows[0, 0] = 1
+    step = mul_matrix(g, p, modulus)
+    while len(rows) < block:
+        rows = np.vstack((rows, rows @ step % p))
+        step = step @ step % p
+    pack = p ** np.arange(deg, dtype=np.int64)
+    exp = np.empty(order, dtype=np.int32)
+    log = np.full(order + 1, -1, dtype=np.int32)
+    for start in range(0, order, len(rows)):
+        if start:
+            rows = rows @ step % p
+        idx = rows[: order - start] @ pack
+        exp[start : start + len(idx)] = idx
+        log[idx] = np.arange(start, start + len(idx), dtype=np.int32)
+    return exp, log
+
+
+def divmod_digits(p: int, s: int) -> np.ndarray:
+    """(q^2, 2s) base-p digits of every index, one divmod pass per digit."""
+    q2 = p ** (2 * s)
+    digits = np.empty((q2, 2 * s), dtype=np.min_scalar_type(p - 1))
+    idx = np.arange(q2, dtype=np.int64)
+    for j in range(2 * s):
+        digits[:, j] = idx % p
+        idx //= p
+    return digits

@@ -167,6 +167,20 @@ def test_build_field_cache_ignores_the_cap():
     assert build_field.cache_info().currsize == 1
 
 
+def test_build_field_cache_keeps_a_budget_of_cells(monkeypatch):
+    # a miss drops the least recently used fields until the new one fits
+    monkeypatch.setattr("bchlab.field._CACHE_CELLS", 16**2 + 9**2)
+    build_field.cache_clear()
+    q16, q9 = build_field(2, 4), build_field(3, 2)
+    assert build_field(2, 4) is q16  # now the most recently used
+    build_field(5, 1)  # 25 more cells: q = 9 goes
+    assert build_field.cache_info() == (3, 2)
+    assert build_field(2, 4) is q16 and build_field(3, 2) is not q9
+    build_field(2, 5)  # 1024 cells, past the budget alone: held by itself
+    assert build_field.cache_info() == (5, 1)
+    build_field.cache_clear()
+
+
 def test_tables_too_large_for_int16_labels():
     # compact labels are int16; the check comes before any table is built
     with pytest.raises(ValueError, match="int16"):
@@ -272,6 +286,34 @@ def test_matches_reference_construction(p, s):
     assert ctx.exp.dtype == ctx.log.dtype == ctx.zech.dtype == np.int32
     assert ctx.sub_index.dtype == np.int16
     assert ctx.digits.dtype == np.min_scalar_type(p - 1)
+
+
+def _sha(arr: np.ndarray) -> str:
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("p,s", [(2, 9), (3, 6), (2, 10), (3, 7), (4099, 1)])
+def test_fill_matches_matrix_product_fill(p, s):
+    """q = 512, 729, 1024, 2187 and 4099: many blocks on the XOR path and on
+    the odd-p lane path, against the per-block matrix product.  At q = 4099
+    the reference also tests the 4097 constants below p that the search
+    skips."""
+    ctx = FieldContext(p, s, 4099)
+    assert ctx.alpha == reference.matrix_generator(p, ctx.modulus)
+    exp, log = reference.matrix_fill(p, ctx.modulus, ctx.alpha)
+    assert (ctx.exp.dtype, ctx.log.dtype) == (exp.dtype, log.dtype) == (np.int32, np.int32)
+    assert _sha(ctx.exp) == _sha(exp) and _sha(ctx.log) == _sha(log)
+    digits = reference.divmod_digits(p, s)
+    assert ctx.digits.dtype == digits.dtype and _sha(ctx.digits) == _sha(digits)
+
+
+def test_alpha_is_the_first_generator_by_log():
+    """On every golden field alpha is the first g >= 2 with
+    gcd(log g, q^2 - 1) = 1, that is, the first generator in index order."""
+    for g in json.loads(GOLDEN.read_text()):
+        ctx = FieldContext(g["p"], g["s"], 4096)  # not cached: 70 fields
+        generators = np.gcd(ctx.log[2:].astype(np.int64), ctx.order) == 1
+        assert ctx.alpha == g["alpha"] == 2 + int(np.argmax(generators))
 
 
 @pytest.mark.parametrize("p,s", [(2, 2), (3, 2), (7, 1), (2, 5)])

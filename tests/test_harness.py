@@ -84,6 +84,24 @@ def test_raised_table_cap_measures(monkeypatch):
     assert rec.match and rec.error == ""  # both witnesses were re-validated
 
 
+def test_dual_distance_below_reciprocal_lower_end_is_a_mismatch(monkeypatch):
+    # q = 16, h = 15: bounds_lo = q - 2h - 1 = -15, but C_15 is the reciprocal
+    # of C_1, so d_dual >= q - 2*1 - 1 = 13, and 13 is the true value
+    from dataclasses import replace
+
+    from bchlab import distance
+
+    assert analyze(2, 4, 15).d_dual == 13
+    engine = distance.dual_min_distance
+    monkeypatch.setattr(
+        distance, "dual_min_distance", lambda code, method: replace(engine(code, method), value=12)
+    )
+    rec = analyze(2, 4, 15)
+    assert (rec.bounds_lo, rec.bounds_hi) == (-15, 16)  # the pinned column is unchanged
+    assert not rec.match
+    assert "mismatch: dual distance 12 outside [13, 16]" in rec.error
+
+
 def test_sweep_ordering_and_gcd_pattern():
     recs = sweep([5, 3], 1, 2)
     keys = [(r.p, r.s, r.h) for r in recs]
