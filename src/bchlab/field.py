@@ -15,10 +15,11 @@ one GF(p)-linear map per stride through two size-q tables; no per-element
 matrix product is formed past its first block.
 
 For bulk kernels the context also exposes elementwise addition of discrete
-logs through Zech logarithms (``log_add``), and a compact relabelling of the
-subfield onto [0, q) (sorted by element index) with q x q add/mul tables and
-the (2, q+1) table ``unit_coords`` of the {1, alpha} coordinates of every
-beta^k, from which the expanded parity matrices are gathered.  Checks that
+logs through Zech logarithms (``log_add``), their (q+1) restriction to
+U_{q+1} (``unit_zech``), and a compact relabelling of the subfield onto
+[0, q) (sorted by element index) with q x q add/mul tables and the (2, q+1)
+table ``unit_coords`` of the {1, alpha} coordinates of every beta^k, from
+which the expanded parity matrices are gathered.  Checks that
 must not share arithmetic with the tables, such as whether a generator
 polynomial vanishes on its defining set, use ``sums_vanish``: base-p digit
 vectors summed mod p, with no Zech logarithm.
@@ -469,20 +470,29 @@ class FieldContext:
         return True
 
     @cached_property
+    def unit_zech(self) -> np.ndarray:
+        """Z_U[k] = log(beta^k - 1) for 0 < k <= q, -1 at k = 0: the Zech
+        logarithms of U_{q+1} (Huber, IEEE Trans. IT, 1990), one ``log_add``.
+        The log of beta^a - beta^b = beta^b (beta^(a-b) - 1) is one gather."""
+        k = np.arange(self.q + 1, dtype=np.int64)
+        return self.log_add((self.q - 1) * k, self.log_minus_one)
+
+    @cached_property
     def unit_coords(self) -> np.ndarray:
         """(2, q+1) int16 table: column k holds the compact labels of c0 and c1,
         where beta^k = c0 + c1*alpha with c0, c1 in GF(q).
 
-        For e = c0 + c1*alpha, e^q = c0 + c1*alpha^q, so
-        c1 = (e - e^q)/(alpha - alpha^q) and c0 = e - c1*alpha, all in logs.
+        Conjugating, beta^(-k) = c0 + c1*alpha*beta; with Z_U = ``unit_zech``
+        (indices mod q+1) and m = log(-1), a coordinate is 0 where its Z_U
+        entry is -1, and otherwise
+            log c1 = -(q-1)k + Z_U[2k] - (1 + m + Z_U[1])
+            log c0 = -(q-1)k + Z_U[2k+1] - Z_U[1]
         """
-        q, m, order = self.q, self.log_minus_one, self.order
-        e = (q - 1) * np.arange(q + 1, dtype=np.int64)  # log beta^k, never -1
-        diff = self.log_add(e, (q * e + m) % order)  # e - e^q
-        denom = self.log_add(1, (q + m) % order)  # alpha - alpha^q, nonzero
-        c1 = np.where(diff < 0, -1, (diff - denom) % order)
-        c0 = self.log_add(e, np.where(c1 < 0, -1, (c1 + 1 + m) % order))
-        return self.sub_index[self.from_log(np.stack((c0, c1)))]
+        q, n, zu = self.q, self.q + 1, self.unit_zech
+        k = np.arange(n, dtype=np.int64)
+        z = zu[np.stack((2 * k + 1, 2 * k)) % n]  # rows: c0, c1
+        logs = z - (q - 1) * k - zu[1] - np.array([[0], [1 + self.log_minus_one]])
+        return self.sub_index[self.from_log(np.where(z < 0, -1, logs % self.order))]
 
     def from_log(self, logs) -> np.ndarray:
         """Elements alpha^logs for logs in [0, order), and 0 where a log is -1."""

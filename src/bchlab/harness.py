@@ -138,8 +138,6 @@ def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> Co
     # derived audit columns
     if rec.d is None:
         rec.class_ = "undetermined"
-    elif rec.d == rec.n - rec.k + 1:
-        rec.class_ = "MDS"
     else:
         rec.class_ = theory.classify(rec.n, rec.k, rec.d, rec.k_dual, rec.d_dual)
     if rec.d_dual >= 2 and 1 <= rec.k < rec.n:
@@ -164,8 +162,9 @@ def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> Co
                     f"ground truth {rec.d}"
                 )
     if rec.bounds_lo is not None:
-        # C_(q-h) is the reciprocal code of C_h, with the same d_dual, so past
-        # h = q/2, where q-2h-1 (bounds_lo) is negative, the lower end is q-h's
+        # C_(q-h) is the same code as C_h, with defining set {+-h, +-(h+1)} mod
+        # q+1, so past h = q/2, where q-2h-1 (bounds_lo) is negative, the lower
+        # end is q-h's
         lo = q - 2 * min(h, q - h) - 1
         if not lo <= rec.d_dual <= rec.bounds_hi:
             mismatches.append(f"dual distance {rec.d_dual} outside [{lo}, {rec.bounds_hi}]")

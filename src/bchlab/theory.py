@@ -13,8 +13,9 @@ Key facts implemented:
 * for gcd(2h+1, q+1) = 1 the distance is 4 exactly when four pairwise
   distinct x, y, z, w in U_{q+1} satisfy
   E(x,z)/E(x,w) = E(y,z)/E(y,w) with E the divided difference of t^(2h+1)
-  (searched by sorting the Zech-log ratios of the pairs (1, w) only, since
-  a rotation of U_{q+1} moves any quadruple onto such a pair);
+  (searched by sorting the ratios of the pairs (1, w) only, since a rotation
+  of U_{q+1} moves any quadruple onto such a pair; every log is a gather
+  from the (q+1) table log(beta^k - 1) of ``FieldContext.unit_zech``);
 * the dual distance lies in [q-2h-1, q+1-m] for non-degenerate h, where m is
   the larger of gcd(2h, q+1) and gcd(2h+2, q+1);
 * Singleton-like and Cadambe-Mazumdar (t = 1, Singleton estimate) bounds for
@@ -99,15 +100,6 @@ def ratio_equation_holds(
     return lhs == rhs
 
 
-def _log_differences(ctx: FieldContext, e: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """(len(zs), n) table of log(alpha^e[x] - alpha^e[z]) for z in zs, x != z.
-
-    alpha^a - alpha^b = alpha^a + alpha^(b + m) with alpha^m = -1, one
-    ``log_add``.  Entries with x = z are meaningless.
-    """
-    return ctx.log_add(e[None, :], (e[zs][:, None] + ctx.log_minus_one) % ctx.order)
-
-
 def find_ratio_quadruple(ctx: FieldContext, h: int):
     """Search U_{q+1} for four distinct x, y, z, w with equal ratios.
 
@@ -125,10 +117,11 @@ def find_ratio_quadruple(ctx: FieldContext, h: int):
     first hit is the one a scan of every pair would return.  The None case
     thus clears n - 1 pairs instead of n(n-1)/2.
 
-    Everything runs on discrete logs: with X[j] = log beta^j and
-    P = (2h+1) X, L[x, z] = log E(beta^x, beta^z) is a difference of two
-    Zech-log tables, and the ratios of the pair (1, beta^w) are
-    L[:, 0] - L[:, w] mod q^2 - 1.  Those rows are built in blocks of w that
+    Everything runs on discrete logs gathered from Z_U = ``ctx.unit_zech``
+    (indices mod q + 1): with e = 2h + 1,
+        log E(beta^x, beta^z) = (q-1)(e-1)z + Z_U[e(x-z)] - Z_U[x-z],
+    so the ratios of the pair (1, beta^w), row z = 0 minus row z = w mod
+    q^2 - 1, are four gathers.  Those rows are built in blocks of w that
     start at one row and double up to ``_QUADRUPLE_CELLS`` cells, so an early
     hit stays cheap; each ratio is packed with its x into one integer key, so
     one sort per row puts equal ratios next to each other in ascending x.
@@ -139,23 +132,18 @@ def find_ratio_quadruple(ctx: FieldContext, h: int):
         return None
     if gcd(2 * h + 1, q + 1) != 1:
         raise ValueError("quadruple search requires gcd(2h+1, q+1) = 1")
+    zu, e = ctx.unit_zech, 2 * h + 1
     xs = np.arange(n, dtype=np.int64)
-    X = (q - 1) * xs
-    P = (2 * h + 1) * X % order
-
-    def log_e(zs: np.ndarray) -> np.ndarray:
-        # [b, x] = log E(x, beta^zs[b]); t -> t^(2h+1) permutes U_{q+1}, so
-        # no difference with x != z is zero
-        return _log_differences(ctx, P, zs) - _log_differences(ctx, X, zs)
-
-    base = log_e(xs[:1])[0]
+    # t -> t^e permutes U_{q+1}, so no difference with x != z is zero
+    base = zu[e * xs % n] - zu[xs]
     bits = n.bit_length()
     mask = (1 << bits) - 1
     max_rows = max(1, _QUADRUPLE_CELLS // n)
     lo, rows = 1, 1
     while lo < n:
         ws = xs[lo : lo + rows]
-        ratio = (base - log_e(ws)) % order
+        d = (xs - ws[:, None]) % n
+        ratio = (base - zu[e * d % n] + zu[d] - (q - 1) * (e - 1) * ws[:, None]) % order
         ratio[:, 0] = -1  # x = z and x = w take no part
         ratio[np.arange(len(ws)), ws] = -2
         keys = np.sort((ratio << bits) | xs, axis=1)

@@ -175,6 +175,15 @@ def test_dual_basis_matches_trace_span():
         assert gflin.rank(ctx, stacked) == kern.shape[0]
 
 
+@pytest.mark.parametrize("q,p,s", prime_powers_upto(64))
+def test_offset_q_minus_h_is_the_same_code(q, p, s):
+    # under x -> x^q the cosets mod q+1 are {e, -e}, so C_h and C_(q-h) both
+    # have the defining set {+-h, +-(h+1)}
+    ctx = build_field(p, s)
+    for h in range(q + 1):
+        assert build_bch(ctx, 3, h).g == build_bch(ctx, 3, q - h).g, h
+
+
 def test_delta_is_a_real_parameter():
     ctx = build_field(3, 2)
     code2 = build_bch(ctx, 2, 1)

@@ -230,6 +230,29 @@ def test_zech_logarithms(p, s):
             assert total == ctx.exp[zech[k]]
 
 
+def _check_unit_zech(ctx, ks):
+    """Z_U[k] against log(beta^k - 1) with the scalar digit subtraction,
+    which uses no Zech table; -1 only at k = 0."""
+    zu = ctx.unit_zech
+    assert zu.shape == (ctx.q + 1,)
+    assert np.flatnonzero(zu < 0).tolist() == [0]
+    for k in ks:
+        assert zu[k] == ctx.log[ctx.sub(ctx.exp_at((ctx.q - 1) * k), 1)], k
+    assert ctx.unit_zech is zu  # built once
+
+
+def test_unit_zech_every_golden_field():
+    for g in json.loads(GOLDEN.read_text()):
+        ctx = build_field(g["p"], g["s"])
+        _check_unit_zech(ctx, range(ctx.q + 1))
+
+
+def test_unit_zech_q4096_sample():
+    ctx = build_field(2, 12)
+    ks = np.random.default_rng(4096).integers(0, ctx.q + 1, size=256)
+    _check_unit_zech(ctx, [int(k) for k in ks])
+
+
 def test_zech_residues_every_golden_field():
     """Row v, column j is zech[v + (q-1)j] mod (q+1), and the one cell of the
     -1 sentinel, in row 0, holds 0."""

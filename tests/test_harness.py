@@ -85,8 +85,8 @@ def test_raised_table_cap_measures(monkeypatch):
 
 
 def test_dual_distance_below_reciprocal_lower_end_is_a_mismatch(monkeypatch):
-    # q = 16, h = 15: bounds_lo = q - 2h - 1 = -15, but C_15 is the reciprocal
-    # of C_1, so d_dual >= q - 2*1 - 1 = 13, and 13 is the true value
+    # q = 16, h = 15: bounds_lo = q - 2h - 1 = -15, but C_15 is the same code
+    # as C_1, so d_dual >= q - 2*1 - 1 = 13, and 13 is the true value
     from dataclasses import replace
 
     from bchlab import distance
