@@ -159,7 +159,7 @@ def dual_codeword(code: BchCode, a: int, b: int) -> DualCodeword:
     lu = (ctx.q - 1) * np.arange(code.n, dtype=np.int64)  # log u
     lx = _times(ctx, ctx.log_add(ctx.log[a], _times(ctx, ctx.log[b], lu)), code.h * lu)
     tr = ctx.log_add(lx, _times(ctx, lx, 0, ctx.q))
-    word = ctx.sub_index[ctx.from_log(tr)]
+    word = ctx.label_of_log(tr)
     return DualCodeword(a=a, b=b, word=tuple(word.tolist()))
 
 

@@ -354,7 +354,6 @@ def exhaustive_min_distance(
     ctx: FieldContext,
     mat: np.ndarray,
     cap: int = EXHAUSTIVE_CAP,
-    via_dual_fallback: bool = True,
 ) -> DistanceResult:
     """Exact minimum weight of the row space of ``mat`` by full enumeration.
 
@@ -367,7 +366,7 @@ def exhaustive_min_distance(
     if k == 0:
         raise ValueError("zero-dimensional code has no minimum distance")
     if q**k > cap:
-        if via_dual_fallback and q ** (n - k) <= cap:
+        if q ** (n - k) <= cap:
             kern = gflin.kernel_basis(ctx, mat)
             dual_dist = weight_distribution(ctx, kern, cap)
             dist = macwilliams_transform(dual_dist, n, q)
@@ -510,7 +509,7 @@ def dual_min_distance(code: bch.BchCode, method: str = "root-count") -> Distance
     ctx = code.ctx
     if method == "dual-enum":
         basis = bch.dual_basis(code)
-        res = exhaustive_min_distance(ctx, basis, via_dual_fallback=False)
+        res = exhaustive_min_distance(ctx, basis)
         return DistanceResult(res.value, res.witness, "dual-enum")
     if method == "root-count":
         if code.delta != 3:

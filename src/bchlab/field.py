@@ -15,14 +15,19 @@ one GF(p)-linear map per stride through two size-q tables; no per-element
 matrix product is formed past its first block.
 
 For bulk kernels the context also exposes elementwise addition of discrete
-logs through Zech logarithms (``log_add``), their (q+1) restriction to
-U_{q+1} (``unit_zech``), and a compact relabelling of the subfield onto
-[0, q) (sorted by element index) with q x q add/mul tables and the (2, q+1)
-table ``unit_coords`` of the {1, alpha} coordinates of every beta^k, from
-which the expanded parity matrices are gathered.  Checks that
-must not share arithmetic with the tables, such as whether a generator
-polynomial vanishes on its defining set, use ``sums_vanish``: base-p digit
-vectors summed mod p, with no Zech logarithm.
+logs through Zech logarithms (``log_add``), and the (q+1) logs
+log(beta^k - 1) on U_{q+1} (``unit_zech``), read from ``exp`` and ``log``.
+The subfield has compact labels in [0, q), its elements sorted by element
+index; a label's base-p digits are its F_p-coordinates, so the q x q add
+table is a digit-wise sum, and the mul table and every log -> label
+conversion (``label_of_log``) read two size-q tables on logs to the base
+alpha^(q+1).  No subfield table reads a Zech logarithm or a q^2 table other
+than ``exp`` and ``log``.  The (2, q+1) table ``unit_coords`` holds the
+{1, alpha} coordinates of every beta^k, from which the expanded parity
+matrices are gathered.  Checks that must not share arithmetic with the
+tables, such as whether a generator polynomial vanishes on its defining set,
+use ``sums_vanish``: base-p digit vectors summed mod p, with no Zech
+logarithm.
 """
 
 from __future__ import annotations
@@ -48,9 +53,9 @@ _FILL_CELLS = 1 << 14
 _FILL_STRIDE = 1 << 16
 _PACK_BITS = 15
 
-# Cells per block of rows for the (q, q) add table and the digit sums of
+# Cells per block of rows for the (q, q) mul table and the digit sums of
 # sums_vanish, so that their int64 temporaries stay at a few MB at q = 4096;
-# up to q = 243 the add table is one block.
+# up to q = 243 the mul table is one block.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -471,11 +476,15 @@ class FieldContext:
 
     @cached_property
     def unit_zech(self) -> np.ndarray:
-        """Z_U[k] = log(beta^k - 1) for 0 < k <= q, -1 at k = 0: the Zech
-        logarithms of U_{q+1} (Huber, IEEE Trans. IT, 1990), one ``log_add``.
-        The log of beta^a - beta^b = beta^b (beta^(a-b) - 1) is one gather."""
-        k = np.arange(self.q + 1, dtype=np.int64)
-        return self.log_add((self.q - 1) * k, self.log_minus_one)
+        """Z_U[k] = log(beta^k - 1) for 0 < k <= q, -1 at k = 0, as int64: the
+        Zech logarithms of U_{q+1} (Huber, IEEE Trans. IT, 1990).  Subtracting
+        1 lowers the lowest base-p digit of the element index by one (mod p),
+        so Z_U is a gather from ``exp`` and ``log`` on q + 1 entries; beta^0 - 1
+        is 0, whose log is -1.  The log of beta^a - beta^b =
+        beta^b (beta^(a-b) - 1) is one gather."""
+        units = self.exp[(self.q - 1) * np.arange(self.q + 1)]  # (q-1)q < order
+        low = units % self.p
+        return self.log[units - low + (low - 1) % self.p].astype(np.int64)
 
     @cached_property
     def unit_coords(self) -> np.ndarray:
@@ -492,79 +501,114 @@ class FieldContext:
         k = np.arange(n, dtype=np.int64)
         z = zu[np.stack((2 * k + 1, 2 * k)) % n]  # rows: c0, c1
         logs = z - (q - 1) * k - zu[1] - np.array([[0], [1 + self.log_minus_one]])
-        return self.sub_index[self.from_log(np.where(z < 0, -1, logs % self.order))]
+        return self.label_of_log(np.where(z < 0, -1, logs % self.order))
 
-    def from_log(self, logs) -> np.ndarray:
-        """Elements alpha^logs for logs in [0, order), and 0 where a log is -1."""
-        logs = np.asarray(logs, dtype=np.int64)
-        return np.where(logs < 0, 0, self.exp[logs])
+    @cached_property
+    def _sub_log(self) -> np.ndarray:
+        """Compact label -> t, where the element is alpha^((q+1)t), t < q - 1;
+        -1 at label 0, the zero element.
+
+        alpha^(q+1) generates GF(q)^*.  Its q - 1 powers, then 0 in slot
+        q - 1, are sorted; 0 sorts first, and -1 reaches its slot from the
+        end, so ``_sub_exp`` inverts this table with one scatter."""
+        elems = np.append(self.exp[(self.q + 1) * np.arange(self.q - 1)], 0)
+        tlog = np.argsort(elems)
+        tlog[0] = -1  # the zero element sorts first
+        return tlog
+
+    @cached_property
+    def _sub_exp(self) -> np.ndarray:
+        """t -> int16 compact label of alpha^((q+1)t) for t < q - 1, and 0, the
+        label of the zero element, in the last slot: the inverse of
+        ``_sub_log``, whose -1 reaches that slot."""
+        out = np.empty(self.q, dtype=np.int16)
+        out[self._sub_log] = np.arange(self.q, dtype=np.int16)
+        return out
+
+    def label_of_log(self, logs) -> np.ndarray:
+        """Compact labels of alpha^logs, for logs of GF(q) elements: multiples
+        of q + 1 in [0, order), or -1 for the zero element, whose floor
+        quotient -1 reads the last slot of ``_sub_exp``.  x is in GF(q) iff
+        x = 0 or q + 1 divides log x; other logs give wrong labels."""
+        return self._sub_exp[np.asarray(logs, dtype=np.int64) // (self.q + 1)]
 
     @cached_property
     def sub_sorted(self) -> np.ndarray:
-        """Element indices of GF(q), ascending; position = compact label."""
-        elems = [0] + [self.exp_at((self.q + 1) * t) for t in range(self.q - 1)]
-        out = np.array(sorted(elems), dtype=np.int64)
-        if len(out) != self.q:
-            raise AssertionError("subfield size mismatch")  # unreachable
-        return out
+        """Element indices of GF(q), ascending; position = compact label.
 
-    @cached_property
-    def sub_index(self) -> np.ndarray:
-        """Inverse of sub_sorted: element index -> int16 compact label, -1 outside."""
-        inv = np.full(self.q2, -1, dtype=np.int16)
-        inv[self.sub_sorted] = np.arange(self.q, dtype=np.int16)
-        return inv
+        Labels are F_p-coordinates.  GF(q) is an s-dimensional F_p-subspace
+        of the digit vectors of GF(q^2) (Lidl and Niederreiter, *Finite
+        Fields*, ch. 2).  Take its reduced echelon basis e_0, ..., e_(s-1):
+        e_j has its highest nonzero digit, a 1, at position d_j with
+        d_0 < ... < d_(s-1), and digit 0 at every other d_i.  In
+        x = sum c_j e_j, digit d_j is c_j, and each digit above d_j depends
+        only on c_(j+1), ..., c_(s-1).  So two elements first differ, from the
+        highest digit down, at the pivot of the highest coordinate where they
+        differ, and sorting by index sorts the coordinates as the base-p
+        numbers sum c_j p^j: label L has coordinates the base-p digits of L.
+        Hence labels add and negate digit by digit mod p (``add_table``,
+        ``neg_table``), whatever the modulus.
+        """
+        out = self.exp[(self.q + 1) * self._sub_log].astype(np.int64)
+        out[0] = 0  # label 0 is the zero element
+        return out
 
     def to_compact(self, arr: np.ndarray) -> np.ndarray:
-        out = self.sub_index[np.asarray(arr, dtype=np.int64)]
-        if (out < 0).any():
+        """int16 compact labels of the element indices ``arr``; ValueError
+        if one lies outside GF(q)."""
+        logs = self.log[np.asarray(arr, dtype=np.int64)]
+        if ((logs >= 0) & (logs % (self.q + 1) != 0)).any():
             raise ValueError("element outside the embedded GF(q)")
-        return out
+        return self.label_of_log(logs)
 
     def from_compact(self, arr: np.ndarray) -> np.ndarray:
         return self.sub_sorted[np.asarray(arr, dtype=np.int64)]
 
     @cached_property
     def add_table(self) -> np.ndarray:
-        """(q, q) addition table over compact subfield labels, from log_add,
-        filled in blocks of rows of at most _BLOCK_CELLS cells."""
-        q = self.q
-        logs = self.log[self.sub_sorted]  # -1 at label 0, the zero element
-        table = np.empty((q, q), dtype=np.int16)
-        rows = max(1, _BLOCK_CELLS // q)
-        for start in range(0, q, rows):
-            total = self.log_add(logs[start : start + rows, None], logs[None, :])
-            table[start : start + rows] = self.sub_index[self.from_log(total)]
+        """(q, q) int16 addition table over compact labels.
+
+        Labels add digit by digit mod p (see ``sub_sorted``), so the table is
+        the (p, p) digit-sum table tiled s times, a Kronecker sum that depends
+        only on (p, s); for p = 2 it is XOR.  Each step puts one more digit
+        above the table's: the digit sums index the outer axes and the table
+        the inner ones, so every inner loop runs over a whole row.
+        """
+        p, d = self.p, np.arange(self.p, dtype=np.uint16)
+        digit = np.add.outer(d, d)  # a sum of two digits fits uint16: p < 2^15
+        digit %= p
+        digit = digit.view(np.int16)  # every sum mod p is below 2^15
+        table = digit
+        for n in [p**k for k in range(1, self.s)]:
+            table = digit[:, None, :, None] * n + table[None, :, None, :]
+            table = table.reshape(n * p, n * p)
         return table
 
     @cached_property
     def mul_table(self) -> np.ndarray:
-        """(q, q) multiplication table over compact subfield labels, filled in
-        blocks of rows of at most _BLOCK_CELLS cells, like ``add_table``."""
-        q = self.q
-        logs = self.log[self.sub_sorted].astype(np.int64)  # -1 at label 0
-        table = np.zeros((q, q), dtype=np.int16)  # row and column 0 stay 0
+        """(q, q) multiplication table over compact labels: logs to the base
+        alpha^(q+1) add mod q - 1.  Filled in blocks of rows of at most
+        _BLOCK_CELLS cells; row and column 0 stay 0."""
+        q, t = self.q, self._sub_log[1:]
+        table = np.zeros((q, q), dtype=np.int16)
         rows = max(1, _BLOCK_CELLS // q)
         for start in range(1, q, rows):
-            esum = logs[start : start + rows, None] + logs[None, 1:]
-            esum %= self.order
-            table[start : start + rows, 1:] = self.sub_index[self.exp[esum]]
+            tsum = t[start - 1 : start - 1 + rows, None] + t[None, :]
+            tsum %= q - 1
+            table[start : start + rows, 1:] = self._sub_exp[tsum]
         return table
 
     @cached_property
     def neg_table(self) -> np.ndarray:
-        """Compact negatives: -a = alpha^(log a + log(-1))."""
-        t = np.zeros(self.q, dtype=np.int16)
-        nz = self.sub_sorted[1:]
-        t[1:] = self.sub_index[self.exp[(self.log[nz] + self.log_minus_one) % self.order]]
-        return t
+        """Compact negatives: each base-p digit of the label negated mod p."""
+        neg = -self._half_digits.astype(np.int64) % self.p
+        return (neg @ self.p ** np.arange(self.s)).astype(np.int16)
 
     @cached_property
     def inv_table(self) -> np.ndarray:
         """Compact inverses; entry 0 is a sentinel and must not be used."""
-        t = np.zeros(self.q, dtype=np.int16)
-        nz = self.sub_sorted[1:]
-        t[1:] = self.sub_index[self.exp[(-self.log[nz]) % self.order]]
+        t = self._sub_exp[-self._sub_log % (self.q - 1)]
+        t[0] = 0
         return t
 
 

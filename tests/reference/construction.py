@@ -90,6 +90,15 @@ def parity_rows(ctx: FieldContext, delta: int, h: int) -> np.ndarray:
     return rows
 
 
+def label(ctx: FieldContext, x: int) -> int:
+    """Compact label of x in GF(q): its position in ``sub_sorted``, found by
+    binary search rather than through the context's label tables."""
+    i = int(np.searchsorted(ctx.sub_sorted, x))
+    if i == ctx.q or ctx.sub_sorted[i] != x:
+        raise ValueError(f"{x} is outside the embedded GF(q)")
+    return i
+
+
 def split_on_basis(ctx: FieldContext, e: int) -> tuple[int, int]:
     """Coordinates (c0, c1) of e in the GF(q)-basis {1, alpha} of GF(q^2)."""
     denom = sub(ctx, ctx.alpha, ctx.pow(ctx.alpha, ctx.q))
@@ -105,8 +114,8 @@ def expanded_parity_matrix(ctx: FieldContext, delta: int, h: int) -> np.ndarray:
     for r in range(rows.shape[0]):
         for i in range(rows.shape[1]):
             c0, c1 = split_on_basis(ctx, int(rows[r, i]))
-            out[2 * r, i] = ctx.sub_index[c0]
-            out[2 * r + 1, i] = ctx.sub_index[c1]
+            out[2 * r, i] = label(ctx, c0)
+            out[2 * r + 1, i] = label(ctx, c1)
     return out
 
 
@@ -118,7 +127,7 @@ def dual_codeword(ctx: FieldContext, h: int, a: int, b: int) -> tuple[int, ...]:
         u_h = ctx.exp_at(h * step * i)
         u_h1 = ctx.exp_at((h + 1) * step * i)
         t = trace(ctx, add(ctx, ctx.mul(a, u_h), ctx.mul(b, u_h1)))
-        word.append(int(ctx.sub_index[t]))
+        word.append(label(ctx, t))
     return tuple(word)
 
 

@@ -47,7 +47,8 @@ def _check_unit_coords(ctx, ks):
     assert coords.shape == (2, ctx.q + 1) and coords.dtype == np.int16
     for k in ks:
         c0, c1 = reference.split_on_basis(ctx, ctx.exp_at((ctx.q - 1) * k))
-        assert (coords[0, k], coords[1, k]) == (ctx.sub_index[c0], ctx.sub_index[c1]), k
+        want = (reference.label(ctx, c0), reference.label(ctx, c1))
+        assert (coords[0, k], coords[1, k]) == want, k
     assert ctx.unit_coords is coords  # built once
 
 

@@ -13,7 +13,8 @@ from bchlab.distance import (
     verify_witness,
     weight_distribution,
 )
-from bchlab.field import build_field
+from bchlab.field import FieldContext, build_field
+from bchlab.theory import predict_min_distance
 
 
 def code_for(p, s, h):
@@ -72,6 +73,21 @@ def test_column_search_finds_distance_five():
     assert oracle.value == 5
 
 
+def test_column_search_builds_no_zech_table():
+    """Column search, witness re-validation and the quadruple search read
+    O(q) unit-circle tables and the (q, q) subfield tables, never the q^2
+    Zech table that root-count reads."""
+    for p, s in [(2, 4), (3, 2)]:
+        ctx = FieldContext(p, s, 4096)  # fresh: no table built yet
+        for h in range(ctx.q + 1):
+            code = build_bch(ctx, 3, h)
+            res = min_distance_by_columns(code)
+            assert res.value is None or verify_witness(code, res)
+            predict_min_distance(ctx, h, resolve=True)
+        assert "unit_coords" in vars(ctx) and "unit_zech" in vars(ctx)
+        assert "zech" not in list(vars(ctx)), (p, s)
+
+
 # -- exhaustive enumeration ----------------------------------------------------
 
 
@@ -93,9 +109,7 @@ def test_exhaustive_zero_dimensional_errors():
 def test_exhaustive_cap_errors_without_fallback():
     code = code_for(3, 2, 1)
     with pytest.raises(ValueError):
-        exhaustive_min_distance(
-            code.ctx, generator_matrix(code), cap=100, via_dual_fallback=False
-        )
+        exhaustive_min_distance(code.ctx, generator_matrix(code), cap=100)
 
 
 def test_exhaustive_dual_fallback_matches_direct():

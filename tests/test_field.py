@@ -187,6 +187,22 @@ def test_tables_too_large_for_int16_labels():
         FieldContext(2, 16, 1 << 16)
 
 
+def _label(ctx, x):
+    """Compact label of x by binary search in ``sub_sorted``, a route that
+    shares nothing with the context's label tables."""
+    i = int(np.searchsorted(ctx.sub_sorted, x))
+    assert i < ctx.q and ctx.sub_sorted[i] == x, x
+    return i
+
+
+def _digitwise(p, s, a, b, sign=1):
+    """Labels a + sign * b, digit by digit mod p (broadcast)."""
+    out = 0
+    for j in range(s):
+        out = out + (a // p**j % p + sign * (b // p**j % p)) % p * p**j
+    return out
+
+
 def _label_pairs(q, count):
     """Every (i, j) for small q; otherwise a fixed sample plus pairs with the
     zero label."""
@@ -204,15 +220,36 @@ def test_compact_tables_match_scalar_ops():
         q = ctx.q
         for i, j in _label_pairs(q, 2000):
             a, b = int(ctx.sub_sorted[i]), int(ctx.sub_sorted[j])
-            assert int(ctx.sub_index[ctx.add(a, b)]) == int(ctx.add_table[i, j])
-            assert int(ctx.sub_index[ctx.mul(a, b)]) == int(ctx.mul_table[i, j])
+            assert _label(ctx, ctx.add(a, b)) == int(ctx.add_table[i, j])
+            assert _label(ctx, ctx.mul(a, b)) == int(ctx.mul_table[i, j])
         for i in range(q):
             a = int(ctx.sub_sorted[i])
-            assert int(ctx.sub_index[ctx.neg(a)]) == int(ctx.neg_table[i])
+            assert _label(ctx, ctx.neg(a)) == int(ctx.neg_table[i])
             if i:
-                assert int(ctx.sub_index[ctx.inv(a)]) == int(ctx.inv_table[i])
-        # a + (-a) is where the Zech logarithm has its sentinel
+                assert _label(ctx, ctx.inv(a)) == int(ctx.inv_table[i])
+        # a + (-a) = 0 in every row
         assert all(int(ctx.add_table[i, ctx.neg_table[i]]) == 0 for i in range(q))
+
+
+def test_labels_add_and_negate_digitwise_every_golden_field():
+    """Labels are F_p-coordinates of GF(q): the add and neg tables are
+    digit-wise sum and negation of the labels, checked against scalar
+    ``add``/``neg`` read back by binary search; full tables up to q = 64."""
+    for g in json.loads(GOLDEN.read_text()):
+        ctx = FieldContext(g["p"], g["s"], 4096)  # not cached: 70 fields
+        p, s, q, sub = ctx.p, ctx.s, ctx.q, ctx.sub_sorted
+        assert (np.diff(sub) > 0).all() and sub[0] == 0
+        assert all(ctx.frobenius(int(x)) == int(x) for x in sub)
+        labels = np.arange(q)
+        assert np.array_equal(ctx.neg_table, _digitwise(p, s, 0, labels, -1))
+        if q <= 64:
+            assert np.array_equal(ctx.add_table, _digitwise(p, s, labels[:, None], labels))
+        for i, j in _label_pairs(q, 4096 if q <= 64 else 2000):
+            want = _digitwise(p, s, i, j)
+            assert int(ctx.add_table[i, j]) == want, (q, i, j)
+            assert _label(ctx, ctx.add(int(sub[i]), int(sub[j]))) == want, (q, i, j)
+        for i in labels:
+            assert _label(ctx, ctx.neg(int(sub[i]))) == ctx.neg_table[i], (q, i)
 
 
 @pytest.mark.parametrize("p,s", [(p, s) for _, p, s in prime_powers_upto(32)])
@@ -307,7 +344,6 @@ def test_matches_reference_construction(p, s):
     assert ctx.modulus == modulus and ctx.alpha == alpha
     assert np.array_equal(ctx.exp, exp) and np.array_equal(ctx.log, log)
     assert ctx.exp.dtype == ctx.log.dtype == ctx.zech.dtype == np.int32
-    assert ctx.sub_index.dtype == np.int16
     assert ctx.digits.dtype == np.min_scalar_type(p - 1)
 
 
