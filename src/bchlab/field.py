@@ -171,15 +171,20 @@ class FieldContext:
 
         The search starts at max(2, p): an index g < p is a constant of
         GF(p)^*, whose order divides p - 1 < q^2 - 1, so it is never a
-        generator and is not tested.  Candidates are tested in batches that
-        start at two and double: each batch is a stack of matrices M_g whose
-        repeated squares are shared by every exponent order/r.  The first
-        passing candidate of the first batch that has one is returned.
+        generator and is not tested.  Candidates are tested in contiguous
+        batches that start at eight and double: each batch is a stack of
+        matrices M_g whose repeated squares are shared by every exponent
+        order/r, and each power g^(order/r) is the digit row of 1 times the
+        squares its exponent's bits select.  The batches cover the candidates
+        in index order with no gap, so the first passing candidate of the
+        first batch that has one is the first generator.  On the fields with
+        q <= 256, alpha is at most the 32nd candidate, and on 58 of those 70
+        fields it lies in the first batch.
         """
         p = self.p
         checks = [self.order // r for r in prime_factors(self.order)]
-        one = np.eye(2 * self.s, dtype=np.int64)
-        start, batch = max(2, p), 2
+        one = np.eye(1, 2 * self.s, dtype=np.int64)  # the digits of 1, as a row
+        start, batch = max(2, p), 8
         while start < self.q2:
             cands = np.arange(start, min(start + batch, self.q2))
             squares = [self._mul_matrix(cands)]  # M_g^(2^k) for every bit k

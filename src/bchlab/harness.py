@@ -56,7 +56,7 @@ class AnalyzeOptions:
         return self.max_table_q
 
 
-@dataclass
+@dataclass(slots=True)
 class CodeRecord:
     p: int
     s: int
@@ -278,7 +278,10 @@ def check_conjecture(
     """Evaluate one conjecture instance-by-instance within the caps.
 
     Returns dicts with a ``status`` of CONFIRMED, REFUTED, or UNREACHED.
+    Raises ValueError for an unknown name or for s < 1.
     """
+    if s is not None and s < 1:
+        raise ValueError(f"s={s} must be >= 1")
     opts = options or AnalyzeOptions()
     out: list[dict] = []
     if name == "dual-distance-q-p":

@@ -35,17 +35,6 @@ def _ptrim(a: list[int]) -> list[int]:
     return a
 
 
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
 def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
     # f monic
     r = list(a)
@@ -76,70 +65,39 @@ def _monic_p(a: Sequence[int], p: int) -> list[int]:
     return [(c * inv) % p for c in a]
 
 
-def _ppow_xq(f: Sequence[int], p: int) -> list[int]:
-    """x^p mod f, with f monic."""
-    return _pmod([0] * p + [1], f, p)
-
-
-def _pcompose_mod(g: Sequence[int], h: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    """g(h(x)) mod f by Horner, all mod p."""
-    out: list[int] = []
-    for c in reversed(list(g)):
-        out = _pmul(out, h, p)
-        if c:
-            if not out:
-                out = [c]
-            else:
-                out[0] = (out[0] + c) % p
-        out = _pmod(out, f, p)
-    return out
+def _pfrobenius_mod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
+    """a^p mod f, with f monic: over GF(p), (sum a_j x^j)^p = sum a_j x^(jp)."""
+    if not a:
+        return []
+    spread = [0] * ((len(a) - 1) * p + 1)
+    spread[::p] = a
+    return _pmod(spread, f, p)
 
 
 def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over GF(p).
+    """Ben-Or irreducibility test for a monic polynomial over GF(p).
 
     ``coeffs`` is lowest degree first; the polynomial must be monic of
-    degree >= 1.  Uses the gcd ladder against x^(p^i) - x.
+    degree n >= 1.  f is irreducible exactly when gcd(f, x^(p^i) - x) = 1
+    for every i <= n/2: a reducible f has a monic irreducible factor of some
+    degree d <= n/2, which divides x^(p^d) - x, while an irreducible f of
+    degree n shares no factor with x^(p^i) - x for i < n, whose irreducible
+    factors all have degrees dividing i.  Each power x^(p^i) mod f is the
+    previous one raised to the p-th power, which over GF(p) only spreads its
+    coefficients to the degrees jp before the reduction mod f.  A candidate
+    with a factor of small degree is rejected after few steps.
     """
     f = [c % p for c in coeffs]
     n = len(f) - 1
     if n < 1 or f[-1] != 1:
         raise ValueError("monic polynomial of degree >= 1 required")
-    if n == 1:
-        return True
-    # x^(p^i) mod f via iterated composition with x^p mod f
-    xp = _ppow_xq(f, p)
-    distinct_prime_divs = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            distinct_prime_divs.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        distinct_prime_divs.append(m)
-
-    power = [0, 1]  # x
-    for i in range(1, n + 1):
-        power = _pcompose_mod(power, xp, f, p)
-        if i == n:
-            # x^(p^n) == x (mod f) required
-            diff = list(power)
-            while len(diff) < 2:
-                diff.append(0)
-            diff[1] = (diff[1] - 1) % p
-            if _ptrim(diff):
-                return False
-        elif n % i == 0 and (n // i) in distinct_prime_divs:
-            diff = list(power)
-            while len(diff) < 2:
-                diff.append(0)
-            diff[1] = (diff[1] - 1) % p
-            g = _pgcd(f, _ptrim(diff), p)
-            if len(g) - 1 != 0:
-                return False
+    power = [0, 1]  # x^(p^i) mod f, from i = 0
+    for _ in range(n // 2):
+        power = _pfrobenius_mod(power, f, p)
+        diff = power + [0] * (2 - len(power))
+        diff[1] = (diff[1] - 1) % p
+        if len(_pgcd(f, _ptrim(diff), p)) > 1:
+            return False
     return True
 
 

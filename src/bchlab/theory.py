@@ -14,8 +14,10 @@ Key facts implemented:
   distinct x, y, z, w in U_{q+1} satisfy
   E(x,z)/E(x,w) = E(y,z)/E(y,w) with E the divided difference of t^(2h+1)
   (searched by sorting the ratios of the pairs (1, w) only, since a rotation
-  of U_{q+1} moves any quadruple onto such a pair; every log is a gather
-  from the (q+1) table log(beta^k - 1) of ``FieldContext.unit_zech``);
+  of U_{q+1} moves any quadruple onto such a pair, and of one w per orbit
+  of w -> p*w, since Frobenius and inversion move it between those pairs;
+  every log is a gather from the (q+1) table log(beta^k - 1) of
+  ``FieldContext.unit_zech``);
 * the dual distance lies in [q-2h-1, q+1-m] for non-degenerate h, where m is
   the larger of gcd(2h, q+1) and gcd(2h+2, q+1);
 * Singleton-like and Cadambe-Mazumdar (t = 1, Singleton estimate) bounds for
@@ -114,8 +116,21 @@ def find_ratio_quadruple(ctx: FieldContext, h: int):
     E is homogeneous of degree 2h, so E(tx, tz) = t^(2h) E(x, z) and the
     rotation of all four points by t = z^(-1) in U_{q+1} keeps the ratio
     equation and moves z to 1; those pairs come first in lex order, so the
-    first hit is the one a scan of every pair would return.  The None case
-    thus clears n - 1 pairs instead of n(n-1)/2.
+    first hit is the one a scan of every pair would return.
+
+    Of those pairs, only the row w that is the smallest of its orbit under
+    w -> p*w mod q + 1 is scanned, and that loses nothing either.  Row w is
+    the pair (1, beta^w).  The Frobenius map t -> t^p is a field
+    automorphism that keeps U_{q+1} and 1, and E(x^p, z^p) = E(x, z)^p, so
+    it maps a quadruple on row w to one on row p*w.  Inversion t -> t^(-1)
+    also keeps U_{q+1} and 1, and E(1/x, 1/z) = E(x, z) (xz)^(1-e) with
+    e = 2h + 1, so it multiplies both sides of the ratio equation by
+    (z/w)^(1-e) and maps a quadruple on row w to one on row -w.  The orbit
+    of w already holds -w, since p^s = q = -1 mod q + 1.  The rows with a
+    hit therefore form a union of orbits, the first of them is the smallest
+    of its orbit, and the scan of orbit minima stops on the same row, with
+    the same (y, x) on it, as a scan of every row.  A search with no hit
+    clears one row per orbit, about (q + 1)/(2s) rows, instead of q.
 
     Everything runs on discrete logs gathered from Z_U = ``ctx.unit_zech``
     (indices mod q + 1): with e = 2h + 1,
@@ -136,12 +151,19 @@ def find_ratio_quadruple(ctx: FieldContext, h: int):
     xs = np.arange(n, dtype=np.int64)
     # t -> t^e permutes U_{q+1}, so no difference with x != z is zero
     base = zu[e * xs % n] - zu[xs]
+    # the rows w >= 1 that are the smallest of their orbit under w -> p*w;
+    # p has order dividing 2s mod q + 1
+    image, first = xs[1:], np.ones(n - 1, dtype=bool)
+    for _ in range(2 * ctx.s - 1):
+        image = image * ctx.p % n
+        first &= image >= xs[1:]
+    reps = xs[1:][first]
     bits = n.bit_length()
     mask = (1 << bits) - 1
     max_rows = max(1, _QUADRUPLE_CELLS // n)
-    lo, rows = 1, 1
-    while lo < n:
-        ws = xs[lo : lo + rows]
+    lo, rows = 0, 1
+    while lo < len(reps):
+        ws = reps[lo : lo + rows]
         d = (xs - ws[:, None]) % n
         ratio = (base - zu[e * d % n] + zu[d] - (q - 1) * (e - 1) * ws[:, None]) % order
         ratio[:, 0] = -1  # x = z and x = w take no part

@@ -3,7 +3,8 @@
 An independent, direct implementation of ``bchlab.field.FieldContext``'s
 construction: it tries every monic polynomial of degree 2s in lex order
 (coefficients low degree first, all of them, including those with a root at
-0 or 1), finds the generator by scalar square-and-multiply, and fills the
+0 or 1) with Rabin's irreducibility test, the oracle for the library's
+Ben-Or test, finds the generator by scalar square-and-multiply, and fills the
 exp/log tables one schoolbook product per entry.  It costs O(q^2 * s^2)
 interpreted steps, so it is meant for differential tests at small q only.
 
@@ -18,7 +19,59 @@ import itertools
 import numpy as np
 
 from bchlab.field import prime_factors
-from bchlab.polynomial import is_irreducible
+from bchlab.polynomial import _pgcd, _pmod, _ptrim
+
+
+def _pmul(a, b, p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _ptrim(out)
+
+
+def _pcompose_mod(g, h, f, p: int) -> list[int]:
+    """g(h(x)) mod f by Horner, all mod p."""
+    out: list[int] = []
+    for c in reversed(list(g)):
+        out = _pmul(out, h, p)
+        if c:
+            if not out:
+                out = [c]
+            else:
+                out[0] = (out[0] + c) % p
+        out = _pmod(out, f, p)
+    return out
+
+
+def is_irreducible(coeffs, p: int) -> bool:
+    """Rabin irreducibility test for a monic polynomial over GF(p).
+
+    ``coeffs`` is lowest degree first; the polynomial must be monic of
+    degree n >= 1.  f is irreducible exactly when x^(p^n) = x mod f and
+    gcd(f, x^(p^(n/r)) - x) = 1 for every prime r | n.  Climbs all n
+    Frobenius steps by composition with x^p mod f.
+    """
+    f = [c % p for c in coeffs]
+    n = len(f) - 1
+    if n < 1 or f[-1] != 1:
+        raise ValueError("monic polynomial of degree >= 1 required")
+    if n == 1:
+        return True
+    xp = _pmod([0] * p + [1], f, p)
+    maximal = {n // r for r in prime_factors(n)}
+    power = [0, 1]  # x
+    for i in range(1, n + 1):
+        power = _pcompose_mod(power, xp, f, p)
+        diff = list(power) + [0] * (2 - len(power))
+        diff[1] = (diff[1] - 1) % p
+        diff = _ptrim(diff)
+        if i in maximal and len(_pgcd(f, diff, p)) > 1:
+            return False
+    return not diff  # x^(p^n) = x mod f
 
 
 def find_modulus(p: int, s: int) -> tuple[int, ...]:

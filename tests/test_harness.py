@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -133,7 +133,7 @@ def test_sweep_parallel_matches_serial():
     assert build_field.cache_info().misses == 2
     assert records_to_csv(parallel, stable=True) == records_to_csv(serial, stable=True)
     strip = lambda rs: [
-        {k: v for k, v in r.__dict__.items() if k != "runtime_ms"} for r in rs
+        {k: v for k, v in asdict(r).items() if k != "runtime_ms"} for r in rs
     ]
     assert strip(serial) == strip(parallel)
 
@@ -172,7 +172,7 @@ def test_csv_roundtrip():
     recs = sweep([3], 1, 2)
     text = records_to_csv(recs)
     back = csv_to_records(text)
-    assert [r.__dict__ for r in back] == [r.__dict__ for r in recs]
+    assert [asdict(r) for r in back] == [asdict(r) for r in recs]
     assert records_to_csv(back) == text
 
 
@@ -243,6 +243,13 @@ def test_conjecture_notes_name_the_binding_cap():
 def test_conjecture_unknown_name():
     with pytest.raises(ValueError):
         check_conjecture("riemann")
+
+
+@pytest.mark.parametrize("name", ["dual-distance-q-p", "even-s-amds"])
+@pytest.mark.parametrize("s", [0, -2])
+def test_conjecture_rejects_s_below_one(name, s):
+    with pytest.raises(ValueError, match=f"s={s} must be >= 1"):
+        check_conjecture(name, s=s)
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -392,6 +399,14 @@ def test_cli_invalid_invocations(tmp_path):
 def test_cli_check_theorems(capsys):
     assert main(["check-theorems", "--max-q", "8"]) == 0
     assert "match their predictions" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("s", ["0", "-2"])
+def test_cli_check_conjecture_s_below_one_exits_2(s, capsys):
+    assert main(["check-conjecture", "--name", "even-s-amds", "--s", s]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"s={s} must be >= 1" in captured.err
 
 
 def test_cli_check_conjecture(capsys):

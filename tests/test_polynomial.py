@@ -1,10 +1,12 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bchlab import cosets
-from bchlab.field import build_field
+from bchlab.field import build_field, prime_factors
 from bchlab.polynomial import (
     Poly,
     all_minimal_polynomials,
@@ -13,6 +15,16 @@ from bchlab.polynomial import (
     poly_gcd,
     poly_lcm,
 )
+
+HERE = Path(__file__).resolve().parent
+
+# loaded by path: a top-level ``reference`` name would clash with other
+# modules of that name on sys.path
+_spec = importlib.util.spec_from_file_location(
+    "field_tables_reference", HERE / "reference" / "field_tables.py"
+)
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 def random_poly(ctx, tag, max_deg, rng):
@@ -203,6 +215,29 @@ def test_is_irreducible_degree4_exhaustive_oracle():
     for bits in itertools.product([0, 1], repeat=4):
         f = list(bits) + [1]
         assert is_irreducible(f, 2) == (tuple(f) not in reducible)
+
+
+def _irreducible_count(p, n):
+    """Monic irreducibles of degree n over GF(p): (1/n) sum_(d | n) mu(d) p^(n/d)."""
+    total = 0
+    for d in range(1, n + 1):
+        if n % d == 0 and all(d % (r * r) for r in prime_factors(d)):
+            total += (-1) ** len(prime_factors(d)) * p ** (n // d)
+    return total // n
+
+
+@pytest.mark.parametrize("p,max_deg", [(2, 10), (3, 6), (5, 4), (7, 3), (13, 2)])
+def test_is_irreducible_matches_rabin_every_monic(p, max_deg):
+    """Ben-Or against the Rabin oracle on every monic polynomial, and the
+    number of irreducibles per degree against Gauss's formula."""
+    for n in range(1, max_deg + 1):
+        count = 0
+        for low in itertools.product(range(p), repeat=n):
+            f = [*low, 1]
+            fast = is_irreducible(f, p)
+            assert fast == reference.is_irreducible(f, p), (p, f)
+            count += fast
+        assert count == _irreducible_count(p, n), (p, n)
 
 
 def test_is_irreducible_rejects_non_monic():

@@ -69,6 +69,10 @@ def test_q128_h32_has_no_quadruple_within_a_second():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_q4096_h2049_has_no_quadruple():
+    assert theory.find_ratio_quadruple(build_field(2, 12), 2049) is None
+
+
 def test_tampered_quadruple_rejected():
     ctx = build_field(2, 6)
     h = 4

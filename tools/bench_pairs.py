@@ -1,0 +1,171 @@
+"""Paired benchmark runs of two commits, the side that runs first alternating.
+
+    python3 tools/bench_pairs.py --workload large-q-dual --seeds 1-10 --out BENCH_19.json
+
+Each side, ``--base`` (default HEAD~1) and ``--head`` (default HEAD), is
+exported with ``git archive`` into its own temporary directory, so both run
+``perfbench/run.py`` from committed files only and this checkout is not
+written to.  For each seed and workload the two sides run once each, with the
+same ``--seconds`` and ``--trace``; the base runs first on the first seed, the
+head on the second, and so on.
+
+The output JSON holds both shas and the tree hash of their ``src/``, the
+machine (nproc, Python and numpy versions), the seeds, every run's metrics and
+failed requests, and per workload and metric each side's median and quartiles
+and the number of pairs in which the head read better, ties counting for
+neither side.  Which direction is better comes from ``BENCHMARK.json`` of the
+head.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """The committed tree of ``rev`` under ``dest``, through ``git archive``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'1-10' or '1,4,7' (or a mix) as a list of ints, in the order given."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The result line of one ``perfbench/run.py`` run: correct, attempted,
+    failed and metrics."""
+    args = ["--workload", workload, "--seed", seed, "--seconds", seconds, "--trace", trace]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", *map(str, args)],
+        cwd=checkout,
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout.name} {workload} seed {seed} failed:\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+    return result
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method)."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: each side's median and quartiles, and the pairs the head won."""
+    out = {}
+    for name in pairs[0]["base"]["metrics"]:
+        base = [p["base"]["metrics"][name] for p in pairs]
+        head = [p["head"]["metrics"][name] for p in pairs]
+        direction = better.get(name, "lower")
+        sign = -1 if direction == "lower" else 1
+        out[name] = {
+            "better": direction,
+            "base": spread(base),
+            "head": spread(head),
+            "head_won": sum(sign * (h - b) > 0 for b, h in zip(base, head)),
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seeds", required=True, help="e.g. 1-10 or 1,3,5")
+    parser.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json")
+    parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
+    parser.add_argument("--base", default="HEAD~1")
+    parser.add_argument("--head", default="HEAD")
+    parser.add_argument("--out", required=True, help="result JSON path")
+    args = parser.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
+    sides = {"base": args.base, "head": args.head}
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        checkouts = {}
+        for side, rev in sides.items():
+            checkouts[side] = Path(tmp) / side
+            export(rev, checkouts[side])
+        bench = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
+        seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+        better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+        numpy_version = subprocess.run(
+            [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+            check=True, capture_output=True, text=True,
+        ).stdout.strip()
+        doc = {
+            **{
+                side: {
+                    "rev": rev,
+                    "sha": git("rev-parse", rev),
+                    "src_tree": git("rev-parse", f"{rev}:src"),
+                }
+                for side, rev in sides.items()
+            },
+            "machine": {
+                "nproc": len(os.sched_getaffinity(0)),
+                "python": platform.python_version(),
+                "numpy": numpy_version,
+            },
+            "command": f"perfbench/run.py --seconds {seconds:g} --trace {args.trace}",
+            "seeds": seeds,
+            "workloads": {},
+        }
+        for workload in args.workload:
+            pairs = []
+            for i, seed in enumerate(seeds):
+                order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_once(checkouts[side], workload, seed, seconds, args.trace)
+                    print(
+                        f"{workload} seed {seed} {side}: "
+                        + " ".join(f"{k}={v:.6g}" for k, v in pair[side]["metrics"].items()),
+                        file=sys.stderr,
+                    )
+                pairs.append(pair)
+            doc["workloads"][workload] = {
+                "metrics": summarize(pairs, better),
+                "failed": {s: sum(p[s]["failed"] for p in pairs) for s in sides},
+                "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in sides},
+                "runs": pairs,
+            }
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
