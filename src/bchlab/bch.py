@@ -13,9 +13,12 @@ as Poly objects, with scalar exp/log lookups and digit-wise addition.  It is
 checked by evaluating it at every root with ``FieldContext.sums_vanish``,
 which sums the terms as base-p digit vectors and uses no Zech logarithm.
 
-The dual code admits a second, independent description: the words
+The dual code admits a second description: the words
 (Tr(a*beta^(h*i) + b*beta^((h+1)*i)))_i for (a, b) in GF(q^2)^2 (delta = 3).
-Both views are exposed so they can be cross-checked.
+Tr is GF(q)-linear, so each is four traces times the rows of the expanded
+parity matrix, combined on the subfield tables; it reads none of the Zech
+residues that root-count counts with.  The kernel basis of the generator
+matrix is the other view; both are exposed so they can be cross-checked.
 """
 
 from __future__ import annotations
@@ -85,12 +88,6 @@ def build_bch(ctx: FieldContext, delta: int = 3, h: int = 0) -> BchCode:
     return BchCode(ctx=ctx, n=n, delta=delta, h=h, g=g, k=n - g.degree)
 
 
-def _times(ctx: FieldContext, logs, shift, power: int = 1) -> np.ndarray:
-    """Logs of (alpha^logs)^power * alpha^shift; -1 (zero) stays -1."""
-    logs = np.asarray(logs, dtype=np.int64)
-    return np.where(logs < 0, -1, (power * logs + shift) % ctx.order)
-
-
 def _parity_exponents(code: BchCode) -> np.ndarray:
     """(delta-1, n) exponents of beta in the parity rows: (h+r)i mod n."""
     r = np.arange(code.delta - 1, dtype=np.int64)[:, None]
@@ -150,16 +147,17 @@ class DualCodeword:
 def dual_codeword(code: BchCode, a: int, b: int) -> DualCodeword:
     """The dual codeword attached to (a, b) in GF(q^2)^2 (delta = 3 only).
 
-    Entry i is Tr(X) = X + X^q with X = u^h (a + b*u) and u = beta^i,
-    computed on logs for all i at once.
+    Entry i is Tr(a*beta^(hi)) + Tr(b*beta^((h+1)i)), so the word is
+    (Tr a, Tr a*alpha, Tr b, Tr b*alpha) times the four rows of the expanded
+    parity matrix, (c0, c1) of beta^(hi) then of beta^((h+1)i): with
+    beta^e = c0 + c1*alpha, c0, c1 in GF(q), Tr(a*beta^e) = c0*Tr(a) + c1*Tr(a*alpha).
     """
     if code.delta != 3:
         raise ValueError("trace representation applies to delta = 3")
     ctx = code.ctx
-    lu = (ctx.q - 1) * np.arange(code.n, dtype=np.int64)  # log u
-    lx = _times(ctx, ctx.log_add(ctx.log[a], _times(ctx, ctx.log[b], lu)), code.h * lu)
-    tr = ctx.log_add(lx, _times(ctx, lx, 0, ctx.q))
-    word = ctx.label_of_log(tr)
+    scalars = (a, ctx.mul(a, ctx.alpha), b, ctx.mul(b, ctx.alpha))
+    traces = ctx.to_compact([ctx.trace(x) for x in scalars])
+    word = gflin.combine_rows(ctx, traces, expanded_parity_matrix(code))
     return DualCodeword(a=a, b=b, word=tuple(word.tolist()))
 
 

@@ -15,7 +15,10 @@ Three independent routes to the same numbers:
   one residue class of the discrete log mod q+1, so the root counts of every
   class come from one histogram of Zech logarithms mod q+1
   (``FieldContext.zech_residues``): O(q^2) work per code, in contiguous
-  blocks of rows with one subtraction and one ``bincount`` each.
+  blocks of rows with one subtraction and one ``bincount`` each.  The
+  minimum's trace word, whose weight must equal the count, is formed by
+  ``bch.dual_codeword`` from the rows of the expanded parity matrix, and
+  reads none of those residues.
 
 Every engine that finds a value emits a witness that ``verify_witness``
 re-validates from scratch.

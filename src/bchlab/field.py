@@ -14,9 +14,10 @@ of the Frobenius map x -> x^q.  The exp table is filled on packed indices,
 one GF(p)-linear map per stride through two size-q tables; no per-element
 matrix product is formed past its first block.
 
-For bulk kernels the context also exposes elementwise addition of discrete
-logs through Zech logarithms (``log_add``), and the (q+1) logs
-log(beta^k - 1) on U_{q+1} (``unit_zech``), read from ``exp`` and ``log``.
+For root-count the context holds the Zech logarithms log(1 + alpha^k)
+reduced mod q+1 (``zech_residues``, uint16), gathered from ``exp`` and ``log``
+a block at a time; for the other kernels, the (q+1) logs log(beta^k - 1) on
+U_{q+1} (``unit_zech``), read the same way.
 The subfield has compact labels in [0, q), its elements sorted by element
 index; a label's base-p digits are its F_p-coordinates, so the q x q add
 table is a digit-wise sum, and the mul table and every log -> label
@@ -54,8 +55,9 @@ _FILL_STRIDE = 1 << 16
 _PACK_BITS = 15
 
 # Cells per block of rows for the (q, q) mul table and the digit sums of
-# sums_vanish, so that their int64 temporaries stay at a few MB at q = 4096;
-# up to q = 243 the mul table is one block.
+# sums_vanish, and per block of columns of zech_residues, so that their int64
+# temporaries stay at a few MB at q = 4096; up to q = 243 the mul table is
+# one block.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -415,58 +417,36 @@ class FieldContext:
         return digits.reshape(self.q2, 2 * s)
 
     @cached_property
-    def zech(self) -> np.ndarray:
-        """Zech logarithms: zech[k] = log(1 + alpha^k), or -1 where 1 + alpha^k = 0.
-
-        Adding 1 raises the lowest base-p digit of the element index by one
-        (mod p; XOR 1 for p = 2), and log[0] = -1 marks the zero sum.  The
-        only -1 entry sits at the k with alpha^k = -1, ``log_minus_one``.
-        The index of 1 + alpha^k is built in place, so at most two int32
-        temporaries of q^2 entries are alive next to ``exp`` and ``log``.
-        """
-        low = self.exp % self.p
-        idx = self.exp - low
-        low += 1
-        low %= self.p
-        idx += low
-        del low
-        return self.log[idx]
-
-    @cached_property
     def zech_residues(self) -> np.ndarray:
-        """(q-1, q+1) uint16 table: row v, column j holds
-        zech[v + (q-1)j] mod (q+1).
+        """(q-1, q+1) uint16 table: row v, column j holds Z[v + (q-1)j] mod
+        (q+1), where Z[k] = log(1 + alpha^k) is the Zech logarithm (Huber,
+        IEEE Trans. IT, 1990).
 
         Row v lists the Zech logarithms of 1 + alpha^v * u over u = beta^j in
         U_{q+1}, reduced mod q+1, the size of U_{q+1}; the rows are contiguous
-        so that a block of rows is one slice.  The one k with zech[k] = -1,
+        so that a block of rows is one slice.  Adding 1 raises the lowest
+        base-p digit of the element index by one (mod p), so Z is a gather
+        from ``exp`` and ``log``, formed a block of columns at a time: no
+        table of q^2 Zech logarithms is built.  The one k with 1 + alpha^k = 0,
         ``log_minus_one``, lies in row 0 (it is a multiple of q - 1), and its
         cell holds 0: a reader must correct that cell itself.
         """
-        q = self.q
-        # reduce and narrow in the zech order, then transpose the narrow copy
-        flat = (self.zech % (q + 1)).astype(np.uint16)
-        res = np.ascontiguousarray(flat.reshape(q + 1, q - 1).T)
+        q, n = self.q, self.q + 1
+        res = np.empty((q - 1, n), dtype=np.uint16)
+        cols = max(1, _BLOCK_CELLS // (q - 1))
+        for j in range(0, n, cols):
+            elems = self.exp[(q - 1) * j : (q - 1) * (j + cols)]
+            low = elems % self.p
+            zech = self.log[elems - low + (low + 1) % self.p]  # -1 where the sum is 0
+            res[:, j : j + cols] = (zech % n).reshape(-1, q - 1).T
         res[0, self.log_minus_one // (q - 1)] = 0
         return res
-
-    def log_add(self, la, lb) -> np.ndarray:
-        """log(alpha^la + alpha^lb) elementwise (broadcast), -1 where the sum is 0.
-
-        Logs lie in [0, order), and -1 stands for the zero element, on input
-        and output.  alpha^a + alpha^b = alpha^a * (1 + alpha^(b - a)), so the
-        log is a + zech[b - a], and the Zech sentinel -1 marks b = -a.
-        """
-        la, lb = np.asarray(la, dtype=np.int64), np.asarray(lb, dtype=np.int64)
-        z = self.zech[(lb - la) % self.order]
-        total = np.where(z < 0, -1, (la + z) % self.order)
-        return np.where(la < 0, lb, np.where(lb < 0, la, total))
 
     def sums_vanish(self, logs) -> bool:
         """Whether every row of alpha^logs sums to zero; a log of -1 is a zero term.
 
         ``logs`` is 2-D.  The terms are summed as base-p digit vectors mod p,
-        in blocks of rows, so neither the Zech table nor ``add`` is involved.
+        in blocks of rows, so neither a Zech logarithm nor ``add`` is involved.
         """
         logs = np.asarray(logs, dtype=np.int64)
         pows = self.p ** np.arange(2 * self.s, dtype=np.int64)

@@ -70,12 +70,12 @@ def kernel_basis(ctx, mat: np.ndarray) -> np.ndarray:
 
 
 def combine_rows(ctx, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Linear combination sum_i coeffs[i] * rows[i]."""
-    add, mul = ctx.add_table, ctx.mul_table
+    """Linear combination sum_i coeffs[i] * rows[i]: every product in one
+    gather, then one gather per row to sum them."""
+    add = ctx.add_table
     out = np.zeros(rows.shape[1], dtype=np.int64)
-    for c, row in zip(coeffs, rows):
-        if c:
-            out = add[out, mul[c, row]]
+    for prod in ctx.mul_table[np.asarray(coeffs)[:, None], rows]:
+        out = add[out, prod]
     return out
 
 

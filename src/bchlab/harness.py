@@ -203,8 +203,8 @@ def sweep(
 ) -> list[CodeRecord]:
     """One record per (p, s, h), ordered by (p, s, h).
 
-    Raises ValueError before analyzing anything when a p is not prime or a
-    q = p^s is past the table cap.
+    Raises ValueError before analyzing anything when a p is not prime, a
+    q = p^s is past the table cap, or the grid holds no code.
     """
     opts = options or AnalyzeOptions()
     tasks: list[tuple] = []
@@ -220,6 +220,8 @@ def sweep(
                 hs = [h for h in h_policy if 0 <= h <= q]
             for h in hs:
                 tasks.append((p, s, h, opts))
+    if not tasks:
+        raise ValueError(f"no code in the grid p={p_list} s={s_min}..{s_max} h={h_policy}")
     if threads > 1:
         # imported here: it pulls in multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
@@ -250,10 +252,13 @@ def check_theorems(
 ) -> list[CodeRecord]:
     """Full cross-validation over every prime power q <= max_q, all offsets.
 
-    Raises ValueError before analyzing anything when a q is past the table cap.
+    Raises ValueError before analyzing anything when a q is past the table
+    cap, or when no prime power is at most max_q.
     """
     opts = options or AnalyzeOptions()
     grid = prime_powers_upto(max_q)
+    if not grid:
+        raise ValueError(f"no prime power q <= {max_q}")
     for q, _p, _s in grid:
         check_table_cap(q, opts.max_table_q)
     records: list[CodeRecord] = []
@@ -278,13 +283,16 @@ def check_conjecture(
     """Evaluate one conjecture instance-by-instance within the caps.
 
     Returns dicts with a ``status`` of CONFIRMED, REFUTED, or UNREACHED.
-    Raises ValueError for an unknown name or for s < 1.
+    Raises ValueError for an unknown name, for s < 1, or for a p_max below 3,
+    which leaves dual-distance-q-p no instance.
     """
     if s is not None and s < 1:
         raise ValueError(f"s={s} must be >= 1")
     opts = options or AnalyzeOptions()
     out: list[dict] = []
     if name == "dual-distance-q-p":
+        if p_max < 3:
+            raise ValueError(f"p_max={p_max} leaves no prime p >= 3 to check")
         s_val = 2 if s is None else s
         for p in range(3, p_max + 1):
             if not is_prime(p):

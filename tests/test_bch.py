@@ -10,7 +10,7 @@ from bchlab.bch import (
     generator_matrix,
     parity_rows,
 )
-from bchlab.field import FieldContext, build_field
+from bchlab.field import build_field
 from bchlab.harness import prime_powers_upto
 from bchlab.polynomial import Poly, minimal_polynomial
 
@@ -246,43 +246,3 @@ def test_build_bch_rejects_wrong_generator(monkeypatch, p, s, h, mutation):
     with pytest.raises(AssertionError, match="defining set"):
         build_bch(ctx, 3, h)
 
-
-class _Zech:
-    """Stand-in Zech table over 2^24 logs: an int32 formula, -1 at one index."""
-
-    def __init__(self, order):
-        self.order = order
-
-    def __getitem__(self, k):
-        k = np.asarray(k)
-        return np.where(k == self.order // 2, -1, (7 * k + 5) % self.order).astype(np.int32)
-
-
-class _BigContext:
-    """The two attributes ``_times`` and ``log_add`` read, at q = 4096."""
-
-    order = 4096**2 - 1
-    zech = _Zech(order)
-
-
-def test_log_arithmetic_widens_int32_logs():
-    # logs near q^2 = 2^24 times q = 2^12 overflow int32; both must widen first
-    ctx = _BigContext()
-    order = ctx.order
-    rng = np.random.default_rng(5)
-    la = np.concatenate(([-1, 0, order - 1, order - 2], rng.integers(-1, order, 200)))
-    lb = np.concatenate(([order - 1, -1, order - 1, order // 2 - 2], rng.integers(-1, order, 200)))
-    la, lb = la.astype(np.int32), lb.astype(np.int32)
-    shift = order - 3
-    got = bch._times(ctx, la, shift, 4096)
-    want = [-1 if x < 0 else (4096 * int(x) + shift) % order for x in la]
-    assert got.tolist() == want
-    got = FieldContext.log_add(ctx, la, lb)
-    want = []
-    for x, y in zip(la.tolist(), lb.tolist()):
-        if x < 0 or y < 0:
-            want.append(y if x < 0 else x)
-            continue
-        z = int(ctx.zech[(y - x) % order])
-        want.append(-1 if z < 0 else (x + z) % order)
-    assert got.tolist() == want

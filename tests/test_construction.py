@@ -1,8 +1,7 @@
 """Array construction against the scalar reference construction.
 
-``reference/construction.py`` holds the per-entry loops that the log/Zech
-array expressions of ``bchlab.bch`` replaced, with its own digit-loop
-addition, and the coset products that the closed-form minimal polynomials
+``reference/construction.py`` holds the per-entry loops that the array
+expressions of ``bchlab.bch`` replaced, with its own digit-loop addition, and the coset products that the closed-form minimal polynomials
 replaced.  Both must give the same minimal polynomials, generator
 polynomial, parity rows, {1, alpha} coordinates of the unit circle, expanded
 parity matrix and trace words.  Its generator-matrix dual check must

@@ -75,8 +75,8 @@ def test_column_search_finds_distance_five():
 
 def test_column_search_builds_no_zech_table():
     """Column search, witness re-validation and the quadruple search read
-    O(q) unit-circle tables and the (q, q) subfield tables, never the q^2
-    Zech table that root-count reads."""
+    O(q) unit-circle tables and the (q, q) subfield tables, never the Zech
+    residues that root-count reads."""
     for p, s in [(2, 4), (3, 2)]:
         ctx = FieldContext(p, s, 4096)  # fresh: no table built yet
         for h in range(ctx.q + 1):
@@ -85,7 +85,18 @@ def test_column_search_builds_no_zech_table():
             assert res.value is None or verify_witness(code, res)
             predict_min_distance(ctx, h, resolve=True)
         assert "unit_coords" in vars(ctx) and "unit_zech" in vars(ctx)
-        assert "zech" not in list(vars(ctx)), (p, s)
+        assert "zech_residues" not in vars(ctx), (p, s)
+
+
+def test_root_count_keeps_only_the_zech_residues():
+    """Root-count and its witness check leave the (q-1, q+1) residues as the
+    one Zech table of the context: the trace word is formed on the subfield
+    tables, and no q^2 table of Zech logarithms is kept."""
+    for p, s in [(2, 4), (3, 2)]:
+        ctx = FieldContext(p, s, 4096)  # fresh: no table built yet
+        code = build_bch(ctx, 3, 1)
+        assert verify_witness(code, dual_min_distance(code, "root-count"))
+        assert "zech_residues" in vars(ctx) and "zech" not in vars(ctx), (p, s)
 
 
 # -- exhaustive enumeration ----------------------------------------------------

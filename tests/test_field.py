@@ -254,17 +254,21 @@ def test_labels_add_and_negate_digitwise_every_golden_field():
 
 @pytest.mark.parametrize("p,s", [(p, s) for _, p, s in prime_powers_upto(32)])
 def test_zech_logarithms(p, s):
+    """Every cell of ``zech_residues`` against log(1 + alpha^k) through the
+    scalar digit addition, which reads no Zech table; the one zero sum, at
+    k = ``log_minus_one``, leaves its cell at 0."""
     ctx = build_field(p, s)
-    zech = ctx.zech
-    assert zech.shape == (ctx.order,)
-    sentinels = [k for k in range(ctx.order) if zech[k] < 0]
-    assert sentinels == [0 if p == 2 else ctx.order // 2]
+    q, res = ctx.q, ctx.zech_residues
+    zero_sums = []
     for k in range(ctx.order):
         total = ctx.add(int(ctx.exp[k]), 1)
-        if k in sentinels:
-            assert total == 0
+        cell = res[k % (q - 1), k // (q - 1)]
+        if total == 0:
+            zero_sums.append(k)
+            assert cell == 0
         else:
-            assert total == ctx.exp[zech[k]]
+            assert cell == ctx.log[total] % (q + 1), k
+    assert zero_sums == [0 if p == 2 else ctx.order // 2]
 
 
 def _check_unit_zech(ctx, ks):
@@ -290,19 +294,28 @@ def test_unit_zech_q4096_sample():
     _check_unit_zech(ctx, [int(k) for k in ks])
 
 
+def _zech(ctx):
+    """log(1 + alpha^k) for every k, -1 where the sum is 0: 1 is added to the
+    lowest base-p digit of the index of alpha^k, a digit p - 1 wrapping to 0
+    with no carry."""
+    e = ctx.exp.astype(np.int64)
+    return ctx.log[np.where(e % ctx.p == ctx.p - 1, e + 1 - ctx.p, e + 1)]
+
+
 def test_zech_residues_every_golden_field():
-    """Row v, column j is zech[v + (q-1)j] mod (q+1), and the one cell of the
-    -1 sentinel, in row 0, holds 0."""
+    """Row v, column j is log(1 + alpha^(v + (q-1)j)) mod (q+1), and the one
+    cell of a zero sum, in row 0, holds 0."""
     for g in json.loads(GOLDEN.read_text()):
         ctx = FieldContext(g["p"], g["s"], 4096)  # not cached: 70 fields
         q = ctx.q
         res = ctx.zech_residues
         assert res.shape == (q - 1, q + 1) and res.dtype == np.uint16
         assert res.flags.c_contiguous
-        want = ctx.zech.reshape(q + 1, q - 1).T % (q + 1)
+        zech = _zech(ctx)
+        want = zech.reshape(q + 1, q - 1).T % (q + 1)
         absent = (0, ctx.log_minus_one // (q - 1))
         assert absent == ((0, 0) if g["p"] == 2 else (0, (q + 1) // 2))
-        assert ctx.zech[absent[0] + (q - 1) * absent[1]] == -1
+        assert np.flatnonzero(zech < 0).tolist() == [absent[0] + (q - 1) * absent[1]]
         assert res[absent] == 0
         keep = np.ones(res.shape, dtype=bool)
         keep[absent] = False
@@ -343,7 +356,7 @@ def test_matches_reference_construction(p, s):
     modulus, alpha, exp, log = reference.field_tables(p, s)
     assert ctx.modulus == modulus and ctx.alpha == alpha
     assert np.array_equal(ctx.exp, exp) and np.array_equal(ctx.log, log)
-    assert ctx.exp.dtype == ctx.log.dtype == ctx.zech.dtype == np.int32
+    assert ctx.exp.dtype == ctx.log.dtype == np.int32
     assert ctx.digits.dtype == np.min_scalar_type(p - 1)
 
 

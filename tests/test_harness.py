@@ -114,8 +114,20 @@ def test_sweep_ordering_and_gcd_pattern():
         assert r.match
 
 
-def test_sweep_empty_range():
-    assert sweep([3], 2, 1) == []
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sweep([3], 2, 1),
+        lambda: sweep([3], 1, 2, h_policy=[10, -1]),
+        lambda: check_theorems(1),
+        lambda: check_theorems(-5),
+        lambda: check_conjecture("dual-distance-q-p", p_max=2),
+    ],
+    ids=["sweep-s-range", "sweep-h-list", "theorems-1", "theorems-neg", "conjecture-p-max-2"],
+)
+def test_empty_grid_raises(call):
+    with pytest.raises(ValueError, match="no "):
+        call()
 
 
 def test_sweep_h_list_skips_out_of_range():
@@ -347,11 +359,19 @@ def test_cli_sweep_and_outputs(tmp_path, capsys):
     assert records_to_csv(csv_rows, stable=True) == records_to_csv(json_rows, stable=True)
 
 
-def test_cli_sweep_empty_range_exits_zero(tmp_path):
-    out = tmp_path / "empty.csv"
-    rc = main(["sweep", "--p", "3", "--s-min", "2", "--s-max", "1", "--out", str(out)])
-    assert rc == 0
-    assert out.read_text().count("\n") == 1  # header only
+@pytest.mark.parametrize(
+    "grid", [["--s-min", "3", "--s-max", "2"], ["--h", "10,11"]], ids=["s-range", "h-list"]
+)
+def test_cli_sweep_empty_grid_exits_2(grid, tmp_path, capsys):
+    out, jout = tmp_path / "rows.csv", tmp_path / "rows.json"
+    out.write_text("old\n")
+    jout.write_text("[]\n")
+    argv = ["sweep", "--p", "2", "--s-min", "1", "--s-max", "3", "--out", str(out)]
+    rc = main(argv + grid + ["--json", str(jout)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and captured.err.startswith("error: no code in the grid")
+    assert out.read_text() == "old\n" and jout.read_text() == "[]\n"
 
 
 @pytest.mark.parametrize("bad", ["missing-dir", "directory", "json"])
@@ -401,6 +421,13 @@ def test_cli_check_theorems(capsys):
     assert "match their predictions" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("max_q", ["1", "0", "-5"])
+def test_cli_check_theorems_empty_grid_exits_2(max_q, capsys):
+    assert main(["check-theorems", "--max-q", max_q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"no prime power q <= {max_q}" in captured.err
+
+
 @pytest.mark.parametrize("s", ["0", "-2"])
 def test_cli_check_conjecture_s_below_one_exits_2(s, capsys):
     assert main(["check-conjecture", "--name", "even-s-amds", "--s", s]) == 2
@@ -413,6 +440,12 @@ def test_cli_check_conjecture(capsys):
     assert main(["check-conjecture", "--name", "dual-distance-q-p", "--p-max", "5"]) == 0
     out = capsys.readouterr().out
     assert "CONFIRMED" in out and "UNREACHED" in out
+
+
+def test_cli_check_conjecture_empty_grid_exits_2(capsys):
+    assert main(["check-conjecture", "--name", "dual-distance-q-p", "--p-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "p_max=2 leaves no prime" in captured.err
 
 
 def test_class_column_round_trip():

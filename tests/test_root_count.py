@@ -51,11 +51,13 @@ def test_one_column_blocks_match_reference(p, s, monkeypatch):
 
 def _tied_cells(code):
     """(i, v) of every both-nonzero representative with the most roots below
-    q+1, straight from the Zech logarithms."""
+    q+1, straight from the Zech logarithms log(1 + alpha^k), each formed by
+    the scalar digit addition."""
     ctx, h = code.ctx, code.h
     q, n = ctx.q, ctx.q + 1
     c = 0 if ctx.p == 2 else n // 2
-    zech = ctx.zech.reshape(n, q - 1).astype(np.int64)  # [j, v]
+    zech = np.array([ctx.log[ctx.add(int(x), 1)] for x in ctx.exp], dtype=np.int64)
+    zech = zech.reshape(n, q - 1)  # [j, v]
     log_x = (h * (q - 1) * np.arange(n)[:, None] + zech) % n
     i = np.arange(n)[:, None, None]
     roots = (((i + log_x) % n == c) | (zech < 0)).sum(axis=1)  # [i, v]

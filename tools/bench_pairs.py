@@ -50,11 +50,21 @@ def export(rev: str, dest: Path) -> None:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-10' or '1,4,7' (or a mix) as a list of ints, in the order given."""
+    """'1-10' or '1,4,7' (or a mix) as a list of ints, in the order given.
+
+    Raises ValueError on a part that is not an integer or an ascending range
+    lo-hi, so the list is never empty.
+    """
     seeds: list[int] = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        try:
+            first, last = int(lo), int(hi or lo)
+        except ValueError:
+            raise ValueError(f"seed {part!r} is not an integer or a range lo-hi") from None
+        if last < first:
+            raise ValueError(f"seed range {part!r} is descending")
+        seeds.extend(range(first, last + 1))
     return seeds
 
 
@@ -111,7 +121,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--head", default="HEAD")
     parser.add_argument("--out", required=True, help="result JSON path")
     args = parser.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        parser.error(f"--seeds: {exc}")  # exits 2 before anything is exported
     sides = {"base": args.base, "head": args.head}
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
