@@ -11,13 +11,16 @@ the two open conjectures.
 The engines carry no q-cap.  The one limit on q is the field table cap,
 ``AnalyzeOptions.max_table_q`` (``--max-table-q``): ``build_field`` checks it,
 and within it ``analyze`` runs every engine on every code.  ``sweep`` and
-``check_theorems`` reject a grid that reaches past it before analyzing
-anything, and ``check_conjecture`` marks such an instance UNREACHED.  Only
-``dual-distance --method dual-enum`` stops earlier, at ``DUAL_ENUM_CAP_Q``.
+``check_theorems`` check every field of their grid (p prime, s >= 1, q within
+the cap) before they analyze anything; ``sweep`` takes its p and h lists as
+their distinct values in ascending order.  ``check_conjecture`` marks an
+instance past the cap UNREACHED.  Only ``dual-distance --method dual-enum``
+stops earlier, at ``DUAL_ENUM_CAP_Q``.
 
 Exit codes: 0 = everything matches (findings allowed), 1 = a theorem
 prediction disagrees with ground truth, 2 = invalid invocation (a q past the
-table cap included) or an output path that cannot be written.
+table cap included) or an output path that cannot be written.  An invalid
+grid exits 2 before anything is analyzed or an output file is created.
 """
 
 from __future__ import annotations
@@ -189,8 +192,50 @@ def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> Co
     return rec
 
 
-def _analyze_args(args: tuple) -> CodeRecord:
-    return analyze(*args)
+def _grid(fields: list[tuple[int, int]], h_policy: str | list[int], opts: AnalyzeOptions):
+    """Per (p, s) field, in the order given, its (p, s, h) tasks with h
+    distinct and ascending; a field's offsets are expanded when it is reached.
+
+    Raises ValueError before anything is expanded when a p is not prime, an s
+    is below 1 or a q = p^s is past the table cap.
+    """
+    for p, s in fields:
+        if not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
+        if s < 1:
+            raise ValueError(f"s={s} must be >= 1")
+        check_table_cap(p**s, opts.max_table_q)
+    hs = None if h_policy == "all" else sorted(set(h_policy))
+    return (
+        [(p, s, h) for h in (range(p**s + 1) if hs is None else hs) if 0 <= h <= p**s]
+        for p, s in fields
+    )
+
+
+def _sweep_tasks(
+    p_list: list[int], s_min: int, s_max: int, h_policy: str | list[int], opts: AnalyzeOptions
+) -> list[tuple]:
+    """The checked (p, s, h) tasks of ``sweep``, p distinct and ascending."""
+    fields = [(p, s) for p in sorted(set(p_list)) for s in range(s_min, s_max + 1)]
+    tasks = [task for field in _grid(fields, h_policy, opts) for task in field]
+    if not tasks:
+        raise ValueError(f"no code in the grid p={p_list} s={s_min}..{s_max} h={h_policy}")
+    return tasks
+
+
+def _run(tasks: list[tuple], opts: AnalyzeOptions, threads: int) -> list[CodeRecord]:
+    """``analyze`` on every (p, s, h) task, in task order."""
+    columns = (*zip(*tasks), [opts] * len(tasks))
+    if threads <= 1:
+        return list(map(analyze, *columns))
+    # imported here: it pulls in multiprocessing, which a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
+    # workers are forked, so fields built here are inherited, not rebuilt
+    for p, s in dict.fromkeys((p, s) for p, s, _h in tasks):
+        build_field(p, s, opts.max_table_q)
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(analyze, *columns, chunksize=4))
 
 
 def sweep(
@@ -201,37 +246,14 @@ def sweep(
     options: AnalyzeOptions | None = None,
     threads: int = 1,
 ) -> list[CodeRecord]:
-    """One record per (p, s, h), ordered by (p, s, h).
+    """One record per (p, s, h), ordered by (p, s, h); the p and h lists are
+    taken as their distinct values in ascending order.
 
-    Raises ValueError before analyzing anything when a p is not prime, a
-    q = p^s is past the table cap, or the grid holds no code.
+    Raises ValueError before analyzing anything when a p is not prime, an s is
+    below 1, a q = p^s is past the table cap, or the grid holds no code.
     """
     opts = options or AnalyzeOptions()
-    tasks: list[tuple] = []
-    for p in sorted(p_list):
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        for s in range(s_min, s_max + 1):
-            q = p**s
-            check_table_cap(q, opts.max_table_q)
-            if h_policy == "all":
-                hs = range(q + 1)
-            else:
-                hs = [h for h in h_policy if 0 <= h <= q]
-            for h in hs:
-                tasks.append((p, s, h, opts))
-    if not tasks:
-        raise ValueError(f"no code in the grid p={p_list} s={s_min}..{s_max} h={h_policy}")
-    if threads > 1:
-        # imported here: it pulls in multiprocessing, which a serial run never needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        # workers are forked, so fields built here are inherited, not rebuilt
-        for p, s in dict.fromkeys((t[0], t[1]) for t in tasks):
-            build_field(p, s, opts.max_table_q)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_analyze_args, tasks, chunksize=4))
-    return [_analyze_args(t) for t in tasks]
+    return _run(_sweep_tasks(p_list, s_min, s_max, h_policy, opts), opts, threads)
 
 
 def prime_powers_upto(max_q: int) -> list[tuple[int, int, int]]:
@@ -259,12 +281,8 @@ def check_theorems(
     grid = prime_powers_upto(max_q)
     if not grid:
         raise ValueError(f"no prime power q <= {max_q}")
-    for q, _p, _s in grid:
-        check_table_cap(q, opts.max_table_q)
-    records: list[CodeRecord] = []
-    for _q, p, s in grid:
-        records.extend(sweep([p], s, s, "all", opts, threads=threads))
-    return records
+    per_field = _grid([(p, s) for _q, p, s in grid], "all", opts)
+    return [rec for tasks in per_field for rec in _run(tasks, opts, threads)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,70 +307,46 @@ def check_conjecture(
     if s is not None and s < 1:
         raise ValueError(f"s={s} must be >= 1")
     opts = options or AnalyzeOptions()
-    out: list[dict] = []
+    # per instance: p, s, h, its expected cells and an out-of-scope note
     if name == "dual-distance-q-p":
         if p_max < 3:
             raise ValueError(f"p_max={p_max} leaves no prime p >= 3 to check")
         s_val = 2 if s is None else s
-        for p in range(3, p_max + 1):
-            if not is_prime(p):
-                continue
-            q = p**s_val
-            h = (p - 1) // 2
-            row = {
-                "conjecture": name,
-                "p": p,
-                "s": s_val,
-                "q": q,
-                "h": h,
-                "expected_d_dual": q - p,
-                "d": None,
-                "d_dual": None,
-                "status": "",
-                "note": "",
-            }
-            if p == 3:
-                row["status"] = "UNREACHED"
-                row["note"] = "h=1 narrow-sense case is covered by the NMDS family"
-            elif q > opts.max_table_q:
-                row["status"] = "UNREACHED"
-                row["note"] = f"q={q} exceeds the table cap {opts.max_table_q}"
-            else:
-                rec = analyze(p, s_val, h, opts)
-                row["d"] = rec.d
-                row["d_dual"] = rec.d_dual
-                ok_dual = rec.d_dual == q - p
-                ok_d = rec.d is None or rec.d == 4
-                row["status"] = "CONFIRMED" if (ok_dual and ok_d) else "REFUTED"
-            out.append(row)
-        return out
-    if name == "even-s-amds":
+        narrow = "h=1 narrow-sense case is covered by the NMDS family"
+        instances = [
+            (p, s_val, (p - 1) // 2, {"expected_d_dual": p**s_val - p}, narrow if p == 3 else "")
+            for p in range(3, p_max + 1)
+            if is_prime(p)
+        ]
+        measured = ("d", "d_dual")
+
+        def holds(rec: CodeRecord) -> bool:
+            return rec.d_dual == rec.q - rec.p and rec.d in (None, 4)
+
+    elif name == "even-s-amds":
         s_val = 6 if s is None else s
-        q = 2**s_val
-        row = {
-            "conjecture": name,
-            "p": 2,
-            "s": s_val,
-            "q": q,
-            "h": 4,
-            "expected_d": 4,
-            "d": None,
-            "status": "",
-            "note": "",
-        }
-        if s_val % 2 == 1 or s_val < 6:
-            row["status"] = "UNREACHED"
-            row["note"] = "conjecture concerns even s >= 6"
-        elif q > opts.max_table_q:
-            row["status"] = "UNREACHED"
-            row["note"] = f"q={q} exceeds the table cap {opts.max_table_q}"
-        else:
-            rec = analyze(2, s_val, 4, opts)
-            row["d"] = rec.d
-            row["status"] = "CONFIRMED" if rec.d == 4 else "REFUTED"
+        scope = "" if s_val % 2 == 0 and s_val >= 6 else "conjecture concerns even s >= 6"
+        instances = [(2, s_val, 4, {"expected_d": 4}, scope)]
+        measured = ("d",)
+
+        def holds(rec: CodeRecord) -> bool:
+            return rec.d == 4
+
+    else:
+        raise ValueError(f"unknown conjecture {name!r}; choose from {CONJECTURES}")
+    out: list[dict] = []
+    for p, s_val, h, expected, note in instances:
+        q = p**s_val
+        if not note and q > opts.max_table_q:
+            note = f"q={q} exceeds the table cap {opts.max_table_q}"
+        row = {"conjecture": name, "p": p, "s": s_val, "q": q, "h": h, **expected}
+        row.update(dict.fromkeys(measured), status="UNREACHED", note=note)
+        if not note:
+            rec = analyze(p, s_val, h, opts)
+            row.update({k: getattr(rec, k) for k in measured})
+            row["status"] = "CONFIRMED" if holds(rec) else "REFUTED"
         out.append(row)
-        return out
-    raise ValueError(f"unknown conjecture {name!r}; choose from {CONJECTURES}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -455,23 +449,16 @@ def json_to_records(text: str) -> list[CodeRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _summarize(records: list[CodeRecord]) -> tuple[int, list[CodeRecord], list[CodeRecord]]:
-    bad = [r for r in records if not r.match]
-    noted = [r for r in records if r.match and r.finding]
-    return len(records), bad, noted
-
-
 def _print_outcome(records: list[CodeRecord]) -> int:
-    total, bad, noted = _summarize(records)
-    print(f"{total} codes analyzed; {total - len(bad)} match their predictions")
-    for rec in noted:
-        print(f"FINDING q={rec.q} h={rec.h}: {rec.finding}")
-    if bad:
-        for rec in bad:
-            print(f"MISMATCH q={rec.q} h={rec.h}: {rec.error}", file=sys.stderr)
-            print(json.dumps(_row(rec, list(_COLUMNS))), file=sys.stderr)
-        return 1
-    return 0
+    bad = [r for r in records if not r.match]
+    print(f"{len(records)} codes analyzed; {len(records) - len(bad)} match their predictions")
+    for rec in records:
+        if rec.match and rec.finding:
+            print(f"FINDING q={rec.q} h={rec.h}: {rec.finding}")
+    for rec in bad:
+        print(f"MISMATCH q={rec.q} h={rec.h}: {rec.error}", file=sys.stderr)
+        print(json.dumps(_row(rec, list(_COLUMNS))), file=sys.stderr)
+    return 1 if bad else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -602,17 +589,15 @@ def _dispatch(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
 
     if args.command == "sweep":
         p_list = [int(x) for x in args.p.split(",")]
-        h_policy: str | list[int]
-        if args.h == "all":
-            h_policy = "all"
-        else:
-            h_policy = [int(x) for x in args.h.split(",")]
-        # open the outputs before the sweep, so that a bad path fails at once;
-        # append mode keeps an existing file intact until the rows are ready
+        h_policy = "all" if args.h == "all" else [int(x) for x in args.h.split(",")]
+        tasks = _sweep_tasks(p_list, args.s_min, args.s_max, h_policy, opts)
+        # open the outputs once the grid is checked but before it is analyzed, so
+        # that a bad path fails at once; append mode keeps an existing file
+        # intact until the rows are ready
         with contextlib.ExitStack() as stack:
             csv_fh = stack.enter_context(open(args.out, "a", newline=""))
             json_fh = stack.enter_context(open(args.json, "a")) if args.json else None
-            records = sweep(p_list, args.s_min, args.s_max, h_policy, opts, args.threads)
+            records = _run(tasks, opts, args.threads)
             csv_fh.truncate(0)
             csv_fh.write(records_to_csv(records, stable=args.stable))
             if json_fh:

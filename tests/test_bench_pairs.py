@@ -1,6 +1,12 @@
-"""``tools/bench_pairs.py``: seed parsing and the per-metric summary."""
+"""``tools/bench_pairs.py``: seed parsing, the per-metric summary, and what
+SIGTERM leaves behind."""
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -63,3 +69,72 @@ def test_summarize_one_pair_spread():
     assert out["base"] == {"median": 4.0, "q1": 4.0, "q3": 4.0}
     assert out["head"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
     assert (out["head_won"], out["pairs"]) == (1, 1)
+
+
+# the tool in a process of its own: nothing is exported, no git or numpy probe
+# runs, and the one benchmark run is a ``sleep`` that writes its pid first
+_TERMINATED_RUN = """
+import importlib.util, subprocess, sys
+from pathlib import Path
+
+tool, tmp = Path(sys.argv[1]), Path(sys.argv[2])
+spec = importlib.util.spec_from_file_location("bench_pairs", tool)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def export(rev, dest):
+    dest.mkdir()
+    (dest / "BENCHMARK.json").write_text('{"run_seconds": 1, "end_to_end": [], "per_layer": []}')
+
+
+real_run = subprocess.run
+
+
+def run_once(checkout, workload, seed, seconds, trace):
+    real_run(["sh", "-c", 'echo $$ > "$0"; exec sleep 60', str(tmp / "child.pid")])
+    raise AssertionError("the sleep ended before SIGTERM arrived")
+
+
+bench_pairs.export = export
+bench_pairs.git = lambda *args: "0"
+bench_pairs.run_once = run_once
+subprocess.run = lambda args, **kwargs: subprocess.CompletedProcess(args, 0, stdout="0")
+sys.exit(bench_pairs.main(["--workload", "w", "--seeds", "1", "--out", str(tmp / "out.json")]))
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_stops_the_run_and_removes_the_trees(tmp_path):
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    tool = subprocess.Popen(
+        [sys.executable, "-c", _TERMINATED_RUN, str(TOOL), str(tmp_path)], env=env
+    )
+    pid_file, child = tmp_path / "child.pid", None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists() or not pid_file.read_text().endswith("\n"):
+            assert tool.poll() is None, "the tool exited before its run started"
+            assert time.monotonic() < deadline, "the run never started"
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        assert list(tmp_path.glob("bench_pairs_*"))
+        time.sleep(0.2)  # let the tool get from starting the child to waiting on it
+        tool.send_signal(signal.SIGTERM)
+        returncode = tool.wait(timeout=30)
+        assert not _alive(child), "the benchmark run outlived the tool"
+        assert not list(tmp_path.glob("bench_pairs_*"))
+        assert not (tmp_path / "out.json").exists()
+        assert returncode == 128 + signal.SIGTERM
+    finally:
+        tool.kill()
+        tool.wait()
+        if child is not None and _alive(child):
+            os.kill(child, signal.SIGKILL)

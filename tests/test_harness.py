@@ -136,6 +136,11 @@ def test_sweep_h_list_skips_out_of_range():
     assert [(r.q, r.h) for r in recs] == [(3, 0), (9, 0), (9, 7)]
 
 
+def test_sweep_takes_distinct_ascending_h():
+    recs = sweep([3], 2, 2, h_policy=[5, 2, 5])
+    assert [(r.q, r.h) for r in recs] == [(9, 2), (9, 5)]
+
+
 def test_sweep_parallel_matches_serial():
     build_field.cache_clear()
     parallel = sweep([3], 1, 2, threads=2)
@@ -374,6 +379,39 @@ def test_cli_sweep_empty_grid_exits_2(grid, tmp_path, capsys):
     assert out.read_text() == "old\n" and jout.read_text() == "[]\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--p", "4", "--s-min", "1", "--s-max", "1"],
+        ["sweep", "--p", "2", "--s-min", "0", "--s-max", "1"],
+        ["--max-table-q", "16", "sweep", "--p", "2", "--s-min", "4", "--s-max", "5"],
+        ["sweep", "--p", "2", "--s-min", "3", "--s-max", "2"],
+        ["sweep", "--p", "2", "--s-min", "1", "--s-max", "1", "--h", "10,11"],
+    ],
+    ids=["p-not-prime", "s-min-0", "past-table-cap", "s-range", "h-list"],
+)
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_cli_sweep_rejected_grid_creates_no_file(argv, existing, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if existing:
+        Path("rows.csv").write_bytes(b"old\r\n")
+        Path("rows.json").write_bytes(b"[]")
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    assert main(argv + ["--out", "rows.csv", "--json", "rows.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+def test_cli_sweep_takes_distinct_ascending_p(tmp_path):
+    out = tmp_path / "rows.csv"
+    argv = ["sweep", "--p", "3,2,3,2", "--s-min", "1", "--s-max", "1", "--stable"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = csv_to_records(out.read_text())
+    assert [(r.p, r.h) for r in rows] == [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)]
+
+
 @pytest.mark.parametrize("bad", ["missing-dir", "directory", "json"])
 def test_cli_sweep_bad_output_path_exits_2_before_the_sweep(bad, tmp_path, monkeypatch, capsys):
     from bchlab import harness
@@ -446,6 +484,25 @@ def test_cli_check_conjecture_empty_grid_exits_2(capsys):
     assert main(["check-conjecture", "--name", "dual-distance-q-p", "--p-max", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "p_max=2 leaves no prime" in captured.err
+
+
+CONJECTURE_RUNS = [
+    "check-conjecture --name dual-distance-q-p",
+    "check-conjecture --name dual-distance-q-p --p-max 7 --s 1",
+    "--max-table-q 100 check-conjecture --name dual-distance-q-p --p-max 13",
+    "check-conjecture --name even-s-amds",
+    "check-conjecture --name even-s-amds --s 5",
+    "--max-table-q 32 check-conjecture --name even-s-amds --s 8",
+]
+
+
+def test_cli_check_conjecture_matches_golden_transcript(capsys):
+    transcript = []
+    for args in CONJECTURE_RUNS:
+        rc = main(args.split())
+        transcript.append(f"$ bchlab {args}\n{capsys.readouterr().out}[exit {rc}]\n")
+    golden = Path(__file__).resolve().parent / "golden" / "check_conjecture.txt"
+    assert "".join(transcript).encode() == golden.read_bytes()
 
 
 def test_class_column_round_trip():

@@ -24,6 +24,7 @@ import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -125,6 +126,9 @@ def main(argv: list[str] | None = None) -> int:
         seeds = parse_seeds(args.seeds)
     except ValueError as exc:
         parser.error(f"--seeds: {exc}")  # exits 2 before anything is exported
+    # SIGTERM as an exception: ``subprocess.run`` then kills its ``run.py``
+    # child, and ``TemporaryDirectory`` removes both exported trees
+    signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
     sides = {"base": args.base, "head": args.head}
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
