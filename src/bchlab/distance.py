@@ -3,7 +3,8 @@
 Three independent routes to the same numbers:
 
 * ``min_distance_by_columns`` scans support sets of the expanded parity
-  matrix in lexicographic order and reports the smallest dependent set.
+  matrix in lexicographic order and reports the smallest dependent set
+  (delta <= 3, so at most 4 rows and sets of at most 4 columns to scan).
 * ``exhaustive_min_distance`` enumerates every codeword of a generator
   matrix (blockwise, vectorised), with a MacWilliams fallback through the
   dual when the direct enumeration would blow the cap.
@@ -43,9 +44,9 @@ from .field import FieldContext
 EXHAUSTIVE_CAP = 1 << 26
 
 _BLOCK_ROWS = 1 << 19
-# reduced cells (prefixes x rows x columns) per column-search block: the
-# first block holds about _COLLISION_START (one prefix from q = 1024 on), and
-# each next block twice as many, up to _COLLISION_CELLS (a few MB)
+# reduced cells (stream rows x matrix rows x columns) per column-search block:
+# the first block holds about _COLLISION_START (one stream row from q = 1024
+# on), and each next block twice as many, up to _COLLISION_CELLS (a few MB)
 _COLLISION_START = 1 << 12
 _COLLISION_CELLS = 1 << 18
 # histogram cells (2(q+1) per row) per root-count block: small enough that
@@ -149,43 +150,31 @@ def _first_collision(ctx: FieldContext, imgs: np.ndarray, lo: np.ndarray) -> tup
     return b, int(order[b, pos]), int(order[b, pos + 1])
 
 
-def _prefixes(n: int, top: int):
-    """Column-search prefixes in search order: by level w, then lex.
-
-    A level-w prefix holds the first w - 2 columns of a candidate set: ()
-    for w = 2, (0,) for w = 3 and (0,) + rest + (j,) for 4 <= w <= top.
-    """
-    if top >= 2:
-        yield ()
-    if top >= 3 and n >= 3:
-        yield (0,)
-    for w in range(4, top + 1):
-        for rest in itertools.combinations(range(1, n - 3), w - 4):
-            head = (0,) + rest
-            for j in range(head[-1] + 1, n - 2):
-                yield head + (j,)
-
-
 def _lex_first_dependent(ctx: FieldContext, mat: np.ndarray, top: int) -> tuple | None:
-    """Lex-first dependent set of the smallest size w in 2..top, given that
-    no column is zero and that the cyclic shift of the columns maps the row
-    space of ``mat`` onto itself.  Returns (cols, coeffs) or None.
+    """Lex-first dependent set of the smallest size w in 2..top <= 4, given
+    that no column is zero and that the cyclic shift of the columns maps the
+    row space of ``mat`` onto itself.  Returns (cols, coeffs) or None.
 
     Under that shift a dependent set stays dependent, so every dependent set
     has a shift that contains column 0, and the lex-first one starts at 0.
-    From w = 3 on only the prefixes with first column 0 are therefore
-    scanned: O(n^(w-3)) prefixes instead of O(n^(w-2)).
+    From w = 3 on only the sets through column 0 are therefore scanned.
 
-    For an independent prefix P ending at column j, {P, k, l} with
-    j < k < l is dependent iff the images of columns k and l modulo span(P)
-    are projectively equal.  The prefixes of every level come in one stream
-    (``_prefixes``), walked in blocks of cells that start at
-    ``_COLLISION_START`` and double up to ``_COLLISION_CELLS``.  Each block
-    reduces each of its heads (the prefix without j) once, keeping the last
-    head's reduction for the next block, eliminates all its j's in one
-    batched call, and looks for the first collision over all its rows at
-    once.  The w = 3 row (0,) is reduced on its own: its image is the
-    reduction of the w = 4 head (0,), so column 0 is eliminated once.
+    A row of the stream holds the independent columns P of a candidate set
+    and a lower bound lo: P + (k, l) with lo < k < l is dependent iff the
+    images of columns k and l modulo span(P) are projectively equal.  There
+    are three kinds of row, each named by its lo:
+
+    * lo = -1, P = (): the columns themselves (w = 2);
+    * lo = 0, P = (0,): the columns modulo column 0 (w = 3);
+    * lo = j = 1 .. n - 3, P = (0, j): the columns modulo columns 0 and j
+      (w = 4).
+
+    The stream is cut at level ``top`` and walked in blocks of cells that
+    start at ``_COLLISION_START`` and double up to ``_COLLISION_CELLS``.  The
+    reduction modulo column 0 is made in the block that holds the w = 3 row:
+    it is that row's image and the head that every w = 4 row reduces
+    further, in one batched call per block.  Each block looks for the first
+    collision over all its rows at once.
 
     The first collision in stream order is the answer.  Let d be the
     smallest size of a dependent set.  A row of level w <= d has a prefix of
@@ -197,36 +186,25 @@ def _lex_first_dependent(ctx: FieldContext, mat: np.ndarray, top: int) -> tuple 
     kernel of the w found columns, scaled so that the last coefficient is -1.
     """
     rows, n = mat.shape
-    stream = _prefixes(n, top)
-    cells = _COLLISION_START
-    head, red = None, None
-    while block := list(itertools.islice(stream, max(1, cells // (rows * n)))):
+    lo = np.arange(-1, n - 2)
+    lo = lo[np.minimum(lo, 1) + 3 <= top]  # level w = 2, 3, 4 by kind
+    cells, start = _COLLISION_START, 0
+    while start < len(lo):
+        block = lo[start : start + max(1, cells // (rows * n))]
+        start += len(block)
         cells = min(2 * cells, _COLLISION_CELLS)
-        # the w = 2 row compares the columns themselves
-        imgs, lo = ([mat[None]], [-1]) if block[0] == () else ([], [])
-        rest = block[len(imgs) :]
-        if rest and rest[0] == (0,):
-            # the w = 3 row's image is the reduction of the w = 4 head (0,)
-            head, red = (0,), _eliminate(ctx, mat[None], mat[None, :, 0])
+        imgs = [mat[None]] if block[0] == -1 else []
+        if block[0] <= 0 <= block[-1]:
+            red = _eliminate(ctx, mat[None], mat[None, :, 0])
             imgs.append(red)
-            lo.append(0)
-            rest = rest[1:]
-        groups = []  # (head reduction, its j's), one per head in the block
-        for group_head, group in itertools.groupby(rest, lambda p: p[:-1]):
-            if group_head != head:
-                head, red = group_head, mat[None]
-                for c in head:
-                    red = _eliminate(ctx, red, red[:, :, c])
-            groups.append((red, [p[-1] for p in group]))
-            lo += groups[-1][1]
-        if groups:
-            reds = np.concatenate([np.broadcast_to(r, (len(js), rows, n)) for r, js in groups])
-            vecs = np.concatenate([r[0][:, js].T for r, js in groups])
-            imgs.append(_eliminate(ctx, reds, vecs))
-        found = _first_collision(ctx, np.concatenate(imgs), np.array(lo))
+        js = block[block > 0]
+        if js.size:
+            imgs.append(_eliminate(ctx, np.broadcast_to(red, (js.size, rows, n)), red[0][:, js].T))
+        found = _first_collision(ctx, np.concatenate(imgs), block)
         if found:
             b, k, l = found
-            cols = block[b] + (k, l)
+            j = int(block[b])
+            cols = (() if j < 0 else (0,) if j == 0 else (0, j)) + (k, l)
             kern = gflin.kernel_basis(ctx, mat[:, cols])
             return cols, tuple(int(c) for c in ctx.neg_table[kern[0]])
     return None
@@ -253,14 +231,18 @@ def min_distance_by_columns(code: bch.BchCode, w_max: int = 5) -> DistanceResult
     witness is the lex-first dependent set.  The code is cyclic, which is
     checked rather than assumed: its row space must absorb the one-column
     shift.  So from w = 3 on only the sets through column 0 are scanned, and
-    clearing the w = 4 level of a d = 5 code takes O(n) prefixes, O(n^2)
-    work, instead of O(n^2) prefixes.  Levels 2 to min(rank, w_max) share
-    one stream of prefixes (``_lex_first_dependent``); past the rank every
-    set is dependent.  When every subset up to w_max is independent the
-    result carries value None with searched_up_to = w_max.
+    clearing the w = 4 level of a d = 5 code takes O(n) rows, O(n^2) work,
+    instead of O(n^2).  Levels 2 to min(rank, w_max) share one stream of
+    rows (``_lex_first_dependent``); past the rank every set is dependent.
+    A code with delta <= 3 has at most 4 parity rows over GF(q), so the
+    stream never passes level 4; delta >= 4 raises ValueError.  When every
+    subset up to w_max is independent the result carries value None with
+    searched_up_to = w_max.
     """
     if w_max < 2:
         raise ValueError("w_max must be >= 2")
+    if code.delta > 3:
+        raise ValueError("column search requires delta <= 3")
     ctx = code.ctx
     mat = bch.expanded_parity_matrix(code)
     r_mat, pivots = gflin.rref(ctx, mat)

@@ -30,6 +30,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -595,8 +596,15 @@ def _dispatch(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
         # that a bad path fails at once; append mode keeps an existing file
         # intact until the rows are ready
         with contextlib.ExitStack() as stack:
+            csv_new = not os.path.exists(args.out)
             csv_fh = stack.enter_context(open(args.out, "a", newline=""))
-            json_fh = stack.enter_context(open(args.json, "a")) if args.json else None
+            try:
+                json_fh = stack.enter_context(open(args.json, "a")) if args.json else None
+            except OSError:
+                # a --out that this run created goes; an existing one keeps its bytes
+                if csv_new:
+                    os.remove(args.out)
+                raise
             records = _run(tasks, opts, args.threads)
             csv_fh.truncate(0)
             csv_fh.write(records_to_csv(records, stable=args.stable))

@@ -7,11 +7,17 @@ lex-first columns, coefficients and ``searched_up_to``).  The golden file
 ``column_witnesses_q64.json`` pins every delta = 3 witness with q <= 64 as
 the full lex scan gave it before the search was restricted to the sets
 through column 0.
+
+Column search walks one stream of rows, each named by its lower bound lo:
+the columns (lo = -1, w = 2), the columns modulo column 0 (lo = 0, w = 3)
+and the columns modulo columns 0 and j (lo = j, w = 4).  The tests below pin
+how the blocks cut that stream, that column 0 is eliminated once, and that
+codes with delta >= 4, whose search would pass level 4, are refused; delta = 2
+and delta = 3 codes are compared with the reference.
 """
 
 import functools
 import importlib.util
-import itertools
 import json
 from pathlib import Path
 
@@ -22,7 +28,6 @@ from bchlab import bch, distance
 from bchlab.bch import build_bch, expanded_parity_matrix
 from bchlab.distance import min_distance_by_columns, verify_witness
 from bchlab.field import build_field
-from bchlab.gflin import rank
 from bchlab.harness import prime_powers_upto
 
 HERE = Path(__file__).resolve().parent
@@ -72,16 +77,24 @@ def test_matches_reference_delta3_every_offset():
     assert checked == sum(q + 1 for q, _, _ in prime_powers_upto(16))
 
 
-@pytest.mark.parametrize("delta", [4, 5])
-def test_matches_reference_larger_delta(delta):
-    # delta >= 4 gives at least 6 parity rows, so the w = 5 level is searched
-    # rather than reached through the w > rank shortcut
-    searched_five = 0
-    for code in codes(9, delta):
+def test_matches_reference_delta2_every_offset():
+    # two parity rows: the stream holds the columns themselves (w = 2) and
+    # the w = 3 level comes from the w > rank shortcut
+    checked = 0
+    for code in codes(9, 2):
         assert_matches_reference(code)
-        if rank(code.ctx, expanded_parity_matrix(code)) >= 5:
-            searched_five += 1
-    assert searched_five > 0
+        checked += 1
+    assert checked == 45
+
+
+@pytest.mark.parametrize("delta", [4, 5])
+def test_larger_delta_rejected(monkeypatch, delta):
+    # the stream stops at level 4: a code with 6 or more parity rows is
+    # refused before its matrix is built
+    monkeypatch.setattr(bch, "expanded_parity_matrix", None)
+    code = build_bch(build_field(3, 2), delta, 1)
+    with pytest.raises(ValueError, match="delta <= 3"):
+        min_distance_by_columns(code)
 
 
 def test_matches_reference_w_max_3():
@@ -142,46 +155,36 @@ def test_non_cyclic_matrix_rejected(monkeypatch):
 
 @pytest.mark.parametrize("start, cap", [(1, 1), (100, 300)])
 def test_small_blocks_match_reference(monkeypatch, start, cap):
-    # one prefix per block, or a few: blocks then start and end inside a
-    # level and inside a head's run of j's
+    # one stream row per block, or a few: blocks then start and end inside a
+    # level and inside the run of w = 4 rows
     monkeypatch.setattr(distance, "_COLLISION_START", start)
     monkeypatch.setattr(distance, "_COLLISION_CELLS", cap)
-    stream, sizes = [], []
-    prefixes, first_collision = distance._prefixes, distance._first_collision
-
-    def spy_prefixes(n, top):
-        for prefix in prefixes(n, top):
-            stream.append(prefix)
-            yield prefix
+    blocks = []
+    first_collision = distance._first_collision
 
     def spy_collision(ctx, imgs, lo):
-        sizes.append(len(lo))
+        blocks.append([int(j) for j in lo])
         return first_collision(ctx, imgs, lo)
 
-    monkeypatch.setattr(distance, "_prefixes", spy_prefixes)
     monkeypatch.setattr(distance, "_first_collision", spy_collision)
-    blocks = []
-    for delta, max_q in [(3, 16), (4, 9), (5, 9)]:
-        for code in codes(max_q, delta):
-            stream.clear()
-            sizes.clear()
-            assert_matches_reference(code)
-            assert sum(sizes) == len(stream)
-            ends = list(itertools.accumulate(sizes))
-            blocks += [stream[a:b] for a, b in zip([0] + ends, ends)]
+    for code in codes(16, 3):
+        first = len(blocks)
+        assert_matches_reference(code)
+        # the blocks walk the stream -1, 0, 1, 2, ... in order
+        stream = [j for block in blocks[first:] for j in block]
+        assert stream == list(range(-1, len(stream) - 1))
     if cap == 1:
         assert {len(block) for block in blocks} == {1}
     else:
-        levels = [{len(p) + 2 for p in block} for block in blocks]
-        assert {2, 3, 4} in levels and {3, 4} in levels and {4, 5} in levels
-        five_heads = [{p[:-1] for p in block if len(p) == 3} for block in blocks]
-        assert max(map(len, five_heads)) > 1
+        levels = [{min(j, 1) + 3 for j in block} for block in blocks]
+        assert {2, 3, 4} in levels and {3, 4} in levels
 
 
 def test_first_block_holds_one_prefix_at_q1024(monkeypatch):
-    # the witness of this d = 4 code sits on the third prefix of the stream,
-    # (0, 1): the prefixes eliminated up to the hit stay within a small
-    # multiple of its position, however large the later blocks would be
+    # the witness of this d = 4 code sits on the third row of the stream,
+    # lo = 1 (the columns modulo columns 0 and 1): the rows eliminated up to
+    # the hit stay within a small multiple of its position, however large
+    # the later blocks would be
     eliminated = []
     eliminate = distance._eliminate
 
@@ -193,8 +196,7 @@ def test_first_block_holds_one_prefix_at_q1024(monkeypatch):
     code = build_bch(build_field(2, 10), 3, 746)
     res = min_distance_by_columns(code)
     assert res.value == 4 and res.witness.cols == (0, 1, 2, 415)
-    hit = list(distance._prefixes(code.n, 4)).index((0, 1))
-    assert sum(eliminated) <= 3 * (hit + 1)
+    assert sum(eliminated) <= 3 * 3
 
 
 @pytest.mark.parametrize("split", [False, True])

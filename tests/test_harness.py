@@ -380,24 +380,28 @@ def test_cli_sweep_empty_grid_exits_2(grid, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, jout",
     [
-        ["sweep", "--p", "4", "--s-min", "1", "--s-max", "1"],
-        ["sweep", "--p", "2", "--s-min", "0", "--s-max", "1"],
-        ["--max-table-q", "16", "sweep", "--p", "2", "--s-min", "4", "--s-max", "5"],
-        ["sweep", "--p", "2", "--s-min", "3", "--s-max", "2"],
-        ["sweep", "--p", "2", "--s-min", "1", "--s-max", "1", "--h", "10,11"],
+        (["sweep", "--p", "4", "--s-min", "1", "--s-max", "1"], "rows.json"),
+        (["sweep", "--p", "2", "--s-min", "0", "--s-max", "1"], "rows.json"),
+        (["--max-table-q", "16", "sweep", "--p", "2", "--s-min", "4", "--s-max", "5"], "rows.json"),
+        (["sweep", "--p", "2", "--s-min", "3", "--s-max", "2"], "rows.json"),
+        (["sweep", "--p", "2", "--s-min", "1", "--s-max", "1", "--h", "10,11"], "rows.json"),
+        # a valid grid whose --json cannot be opened after --out was
+        (["sweep", "--p", "2", "--s-min", "1", "--s-max", "1"], "missing/rows.json"),
     ],
-    ids=["p-not-prime", "s-min-0", "past-table-cap", "s-range", "h-list"],
+    ids=["p-not-prime", "s-min-0", "past-table-cap", "s-range", "h-list", "bad-json"],
 )
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-def test_cli_sweep_rejected_grid_creates_no_file(argv, existing, tmp_path, monkeypatch, capsys):
+def test_cli_sweep_rejected_grid_creates_no_file(
+    argv, jout, existing, tmp_path, monkeypatch, capsys
+):
     monkeypatch.chdir(tmp_path)
     if existing:
         Path("rows.csv").write_bytes(b"old\r\n")
         Path("rows.json").write_bytes(b"[]")
     before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
-    assert main(argv + ["--out", "rows.csv", "--json", "rows.json"]) == 2
+    assert main(argv + ["--out", "rows.csv", "--json", jout]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
