@@ -5,6 +5,11 @@ Three independent routes to the same numbers:
 * ``min_distance_by_columns`` scans support sets of the expanded parity
   matrix in lexicographic order and reports the smallest dependent set
   (delta <= 3, so at most 4 rows and sets of at most 4 columns to scan).
+  It reduces the matrix H once, to R = rref(H) = E * H with E invertible,
+  so every linear relation among columns, every set of columns equal up
+  to factors and every relation of a minimal dependent set is the same on
+  R as on H; the cyclic check, the search and the witness relation all
+  read R.
 * ``exhaustive_min_distance`` enumerates every codeword of a generator
   matrix (blockwise, vectorised), with a MacWilliams fallback through the
   dual when the direct enumeration would blow the cap.
@@ -85,61 +90,72 @@ class DistanceResult:
 
 def _gather(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``table[a, b]`` for a (q, q) table, as one take from the flat table."""
-    return table.ravel().take(a.astype(np.intp) * table.shape[1] + b)
+    return table.ravel().take(np.multiply(a, table.shape[1], dtype=np.intp) + b)
 
 
-def _eliminate(ctx: FieldContext, imgs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Reduce every column of ``imgs[b]`` (B, rows, n) modulo ``vecs[b]`` (B, rows).
+def _pack_heads(unit: np.ndarray, bits: int) -> np.ndarray:
+    """One int64 key per column of ``unit`` (count, rows <= 4, n), whose
+    columns are scaled so that their first nonzero entry is 1.
 
-    Subtracts the multiple of ``vecs[b]`` that clears its first nonzero row, so
-    that row reads 0 in every reduced column.  Applied to a sequence of
-    independent vectors this projects onto a fixed complement of their span:
-    two columns agree modulo the span iff their reductions are equal.
+    Row 0 then reads 0 or 1 and takes 1 bit, and rows 1 .. rows - 1 take
+    ``bits`` bits each: 46 bits at q = 2^15, which leaves room for a 16-bit
+    column index.  Equal keys mean equal columns, and a zero column keeps
+    key 0.
     """
-    piv = (vecs != 0).argmax(axis=1)
-    lead = vecs[np.arange(len(vecs)), piv]
-    row = imgs[np.arange(len(imgs)), piv]
-    factor = _gather(ctx.mul_table, row, ctx.neg_table[ctx.inv_table[lead]][:, None])
-    shift = _gather(ctx.mul_table, factor[:, None, :], vecs[:, :, None])
-    return _gather(ctx.add_table, imgs, shift)
+    unit = unit.astype(np.int64)
+    return unit[:, 0] + sum(unit[:, r] << (1 + bits * (r - 1)) for r in range(1, unit.shape[1]))
 
 
-def _first_collision(ctx: FieldContext, imgs: np.ndarray, lo: np.ndarray) -> tuple | None:
-    """First (b, k, l) with lo[b] < k < l and imgs[b][:, l] a nonzero multiple
-    of imgs[b][:, k]: the smallest b, then the smallest such k, then l.
+def _head_keys(ctx: FieldContext, imgs: np.ndarray) -> np.ndarray:
+    """Keys of the columns of ``imgs`` (count, rows <= 4, n) that are equal
+    iff the columns are nonzero multiples of each other (``_pack_heads``)."""
+    lead = np.choose((imgs != 0).argmax(axis=1), imgs.transpose(1, 0, 2))
+    unit = _gather(ctx.mul_table, ctx.inv_table[lead][:, None], imgs)
+    return _pack_heads(unit, max(1, (ctx.q - 1).bit_length()))
 
-    Each column is scaled so its first nonzero entry is 1 and packed into an
-    integer key; sorting the keys of each batch row puts equal images next
-    to each other in ascending column order.
+
+# the rows of a 3-row matrix other than row p, for p = 0, 1, 2
+_OTHER_ROWS = np.array([[1, 2], [0, 2], [0, 1]])
+
+
+def _p1_keys(ctx: FieldContext, r1: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """(len(js), n) keys of the columns of ``r1`` (3 rows) modulo column j,
+    one row per j in ``js``, each a point of P^1(GF(q)) or q + 1.
+
+    With p the first nonzero row of column j, adding f_x * r1[:, j] to
+    column x, where f_x = -r1[p, x] / r1[p, j], clears row p and leaves the
+    image I_x, whose two other rows (u, v) are the coordinates of column x
+    in a complement of span(r1[:, j]).  Two columns are equal modulo
+    column j up to a nonzero factor iff their images are, so the key u / v
+    (v != 0), q (v = 0 != u) or q + 1 (a zero image) is equal iff they are.
     """
-    count, rows, n = imgs.shape
-    batch, col = np.arange(count)[:, None], np.arange(n)
-    piv = (imgs != 0).argmax(axis=1)
-    lead = imgs[batch, piv, col]
-    unit = _gather(ctx.mul_table, ctx.inv_table[lead][:, None, :], imgs).astype(np.int64)
-    bits = max(1, (ctx.q - 1).bit_length())
+    cols = r1[:, js]  # (3, B)
+    batch = np.arange(len(js))
+    p = (cols != 0).argmax(axis=0)
+    rest = _OTHER_ROWS[p]  # (B, 2)
+    scale = ctx.neg_table[ctx.inv_table[cols[p, batch]]]
+    # scale first: each row of n products then reads one row of the table
+    f = _gather(ctx.mul_table, scale[:, None], r1[p])
+    shift = _gather(ctx.mul_table, cols[rest, batch[:, None]][:, :, None], f[:, None])
+    u, v = _gather(ctx.add_table, r1[rest], shift).transpose(1, 0, 2)
+    ratio = _gather(ctx.mul_table, u, ctx.inv_table[v])
+    return np.where(v != 0, ratio, ctx.q + (u == 0))
+
+
+def _first_collision(keys: np.ndarray, lo: np.ndarray) -> tuple | None:
+    """First (b, k, l) with lo[b] < k < l and keys[b, k] == keys[b, l]: the
+    smallest b, then the smallest such k, then l.
+
+    The column index goes into the low bits of each key, so one plain sort
+    of each row puts equal keys next to each other in column order.
+    """
+    n = keys.shape[1]
     col_bits = (n - 1).bit_length()
-    if rows * bits + col_bits <= 63:
-        # one word per column with the column index in its low bits (4 rows
-        # up to q = 4096): a plain sort of the words keeps equal images in
-        # column order
-        packed = col + sum(unit[:, r] << (col_bits + bits * r) for r in range(rows))
-        packed.sort(axis=-1)
-        order = packed & ((1 << col_bits) - 1)
-        ranked = packed >> col_bits
-        same = ranked[:, 1:] == ranked[:, :-1]
-    else:
-        # as many rows per 63-bit word as fit, and a stable sort over the words
-        per_word = 63 // bits
-        keys = np.stack(
-            [
-                sum(unit[:, r] << (bits * (r - r0)) for r in range(r0, min(r0 + per_word, rows)))
-                for r0 in range(0, rows, per_word)
-            ]
-        )
-        order = np.lexsort(keys, axis=-1)
-        ranked = keys[:, batch, order]
-        same = (ranked[:, :, 1:] == ranked[:, :, :-1]).all(axis=0)
+    packed = (keys << col_bits) | np.arange(n)
+    packed.sort(axis=-1)
+    order = packed & ((1 << col_bits) - 1)
+    ranked = packed >> col_bits
+    same = ranked[:, 1:] == ranked[:, :-1]
     # a valid k (> lo) is followed by its smallest partner l
     cand = np.where(same & (order[:, :-1] > lo[:, None]), order[:, :-1], n)
     hit = np.nonzero(cand.min(axis=1) < n)[0]
@@ -150,42 +166,87 @@ def _first_collision(ctx: FieldContext, imgs: np.ndarray, lo: np.ndarray) -> tup
     return b, int(order[b, pos]), int(order[b, pos + 1])
 
 
-def _lex_first_dependent(ctx: FieldContext, mat: np.ndarray, top: int) -> tuple | None:
-    """Lex-first dependent set of the smallest size w in 2..top <= 4, given
-    that no column is zero and that the cyclic shift of the columns maps the
-    row space of ``mat`` onto itself.  Returns (cols, coeffs) or None.
+def _relation(ctx: FieldContext, r_mat: np.ndarray, cols: tuple) -> tuple:
+    """Coefficients of the one relation among the minimal dependent columns
+    ``cols`` of the reduced matrix, scaled so that the last one is -1.
 
-    Under that shift a dependent set stays dependent, so every dependent set
+    Read off by scalar lookups.  With (k, l) the last two columns, their
+    images (the columns themselves, the rows below row 0, or those rows
+    modulo column j as in ``_p1_keys``) satisfy I_l = c * I_k.  Then
+    (k, l) has coefficients (c, -1); (0, k, l) has (a, c, -1) with
+    a = R[0, l] - c * R[0, k]; and (0, j, k, l) has (a, b, c, -1) with
+    b = c * f_k - f_l and a = R[0, l] - b * R[0, j] - c * R[0, k].
+    """
+    add, mul, neg, inv = ctx.add_table, ctx.mul_table, ctx.neg_table, ctx.inv_table
+
+    def first(vec):
+        return next(i for i, x in enumerate(vec) if x)
+
+    k, l = (r_mat[:, x].tolist() for x in cols[-2:])
+    if len(cols) > 2:
+        (top_k, *k), (top_l, *l) = k, l  # modulo column 0, which is e_0
+    b = top_j = 0
+    if len(cols) == 4:
+        top_j, *j = r_mat[:, cols[1]].tolist()
+        p = first(j)
+        scale = neg[inv[j[p]]]
+        f_k, f_l = int(mul[scale, k[p]]), int(mul[scale, l[p]])
+        k = [add[x, mul[f_k, y]] for x, y in zip(k, j)]
+        l = [add[x, mul[f_l, y]] for x, y in zip(l, j)]
+    t = first(k)
+    c = int(mul[l[t], inv[k[t]]])
+    if len(cols) == 2:
+        return c, int(neg[1])
+    if len(cols) == 4:
+        b = int(add[mul[c, f_k], neg[f_l]])
+    a = int(add[top_l, neg[add[mul[b, top_j], mul[c, top_k]]]])
+    return ((a, b) if len(cols) == 4 else (a,)) + (c, int(neg[1]))
+
+
+def _lex_first_dependent(ctx: FieldContext, r_mat: np.ndarray, top: int) -> tuple | None:
+    """Lex-first dependent set of the smallest size w in 2..top <= 4, given
+    the reduced echelon form ``r_mat`` of a matrix with no zero column whose
+    row space the cyclic shift of the columns maps onto itself.  Returns
+    (cols, coeffs) or None.
+
+    The reduced form R = E * H, with E invertible, has exactly the linear
+    relations among its columns that H has: every dependent set, every set
+    of columns equal up to factors and every relation of a minimal dependent
+    set is the same on R as on H.  Column 0 is nonzero, so it is the first
+    pivot and R's column 0 is e_0.
+
+    Under the shift a dependent set stays dependent, so every dependent set
     has a shift that contains column 0, and the lex-first one starts at 0.
     From w = 3 on only the sets through column 0 are therefore scanned.
 
     A row of the stream holds the independent columns P of a candidate set
     and a lower bound lo: P + (k, l) with lo < k < l is dependent iff the
-    images of columns k and l modulo span(P) are projectively equal.  There
-    are three kinds of row, each named by its lo:
+    images of columns k and l modulo span(P) are nonzero multiples of each
+    other.  There are three kinds of row, each named by its lo:
 
-    * lo = -1, P = (): the columns themselves (w = 2);
-    * lo = 0, P = (0,): the columns modulo column 0 (w = 3);
-    * lo = j = 1 .. n - 3, P = (0, j): the columns modulo columns 0 and j
-      (w = 4).
+    * lo = -1, P = (): the columns of R (w = 2);
+    * lo = 0, P = (0,): R with row 0 cleared, since column 0 is e_0 (w = 3);
+    * lo = j = 1 .. n - 3, P = (0, j): the rows R1 = R[1:] modulo column j,
+      each column keyed by its point of P^1(GF(q)) (``_p1_keys``; w = 4).
 
+    The first two kinds are keyed by their scaled columns (``_head_keys``).
     The stream is cut at level ``top`` and walked in blocks of cells that
-    start at ``_COLLISION_START`` and double up to ``_COLLISION_CELLS``.  The
-    reduction modulo column 0 is made in the block that holds the w = 3 row:
-    it is that row's image and the head that every w = 4 row reduces
-    further, in one batched call per block.  Each block looks for the first
-    collision over all its rows at once.
+    start at ``_COLLISION_START`` and double up to ``_COLLISION_CELLS``.
+    Each block looks for the first collision over all its rows at once.
 
     The first collision in stream order is the answer.  Let d be the
     smallest size of a dependent set.  A row of level w <= d has a prefix of
     w - 2 < d columns, which is independent, so its collisions are exactly
-    its dependent sets; rows of level w < d therefore have none.  A row of
-    level w > d may have a dependent prefix and report a false collision,
+    its dependent sets; rows of level w < d therefore have none.  (At w = 4
+    the zero images are then columns 0 and j only, both at most lo.)  A row
+    of level w > d may have a dependent prefix and report a false collision,
     but it comes after every row of level d, and when d <= top some row of
-    level d holds the lex-first dependent set.  The relation comes from the
-    kernel of the w found columns, scaled so that the last coefficient is -1.
+    level d holds the lex-first dependent set.  Its relation is read off R
+    (``_relation``), scaled so that the last coefficient is -1.
     """
-    rows, n = mat.shape
+    rows, n = r_mat.shape
+    cleared = r_mat.copy()
+    cleared[0] = 0
     lo = np.arange(-1, n - 2)
     lo = lo[np.minimum(lo, 1) + 3 <= top]  # level w = 2, 3, 4 by kind
     cells, start = _COLLISION_START, 0
@@ -193,20 +254,17 @@ def _lex_first_dependent(ctx: FieldContext, mat: np.ndarray, top: int) -> tuple 
         block = lo[start : start + max(1, cells // (rows * n))]
         start += len(block)
         cells = min(2 * cells, _COLLISION_CELLS)
-        imgs = [mat[None]] if block[0] == -1 else []
-        if block[0] <= 0 <= block[-1]:
-            red = _eliminate(ctx, mat[None], mat[None, :, 0])
-            imgs.append(red)
+        heads = [img for j, img in ((-1, r_mat), (0, cleared)) if block[0] <= j <= block[-1]]
+        keys = [_head_keys(ctx, np.stack(heads))] if heads else []
         js = block[block > 0]
         if js.size:
-            imgs.append(_eliminate(ctx, np.broadcast_to(red, (js.size, rows, n)), red[0][:, js].T))
-        found = _first_collision(ctx, np.concatenate(imgs), block)
+            keys.append(_p1_keys(ctx, r_mat[1:], js))
+        found = _first_collision(np.concatenate(keys), block)
         if found:
             b, k, l = found
             j = int(block[b])
             cols = (() if j < 0 else (0,) if j == 0 else (0, j)) + (k, l)
-            kern = gflin.kernel_basis(ctx, mat[:, cols])
-            return cols, tuple(int(c) for c in ctx.neg_table[kern[0]])
+            return cols, _relation(ctx, r_mat, cols)
     return None
 
 
@@ -214,13 +272,18 @@ def _check_cyclic(ctx: FieldContext, mat: np.ndarray, r_mat: np.ndarray, pivots:
     """Raise AssertionError unless the shifted columns ``np.roll(mat, 1, axis=1)``
     lie in the row space of ``mat``, given its reduced echelon form.
 
-    Each pivot row clears its pivot column from the shifted rows, one table
-    gather per pivot; the rows lie in the row space iff nothing is left.
+    Row i of R has 1 at pivot i and 0 at the other pivots, so a shifted row
+    s lies in the row space iff s equals the sum of s[pivot_i] * R[i]: one
+    gather of every product, one gather per further pivot to sum them and
+    one compare.
     """
-    rest = np.roll(mat, 1, axis=1)
-    for row, c in zip(r_mat, pivots):
-        rest = ctx.add_table[rest, ctx.mul_table[ctx.neg_table[rest[:, c]][:, None], row]]
-    if rest.any():
+    rk = len(pivots)
+    # column c of the shifted matrix is column c - 1 of mat
+    prods = _gather(ctx.mul_table, mat[:, [c - 1 for c in pivots], None], r_mat[None, :rk])
+    span = np.zeros_like(mat) if rk == 0 else prods[:, 0]
+    for i in range(1, rk):
+        span = _gather(ctx.add_table, span, prods[:, i])
+    if (span[:, 1:] != mat[:, :-1]).any() or (span[:, 0] != mat[:, -1]).any():
         raise AssertionError("parity matrix is not invariant under the cyclic shift")
 
 
@@ -228,16 +291,17 @@ def min_distance_by_columns(code: bch.BchCode, w_max: int = 5) -> DistanceResult
     """Smallest w <= w_max with w linearly dependent parity columns.
 
     Support sets are scanned in lexicographic order per weight level, so the
-    witness is the lex-first dependent set.  The code is cyclic, which is
-    checked rather than assumed: its row space must absorb the one-column
-    shift.  So from w = 3 on only the sets through column 0 are scanned, and
-    clearing the w = 4 level of a d = 5 code takes O(n) rows, O(n^2) work,
-    instead of O(n^2).  Levels 2 to min(rank, w_max) share one stream of
-    rows (``_lex_first_dependent``); past the rank every set is dependent.
-    A code with delta <= 3 has at most 4 parity rows over GF(q), so the
-    stream never passes level 4; delta >= 4 raises ValueError.  When every
-    subset up to w_max is independent the result carries value None with
-    searched_up_to = w_max.
+    witness is the lex-first dependent set.  The matrix is reduced once;
+    the cyclic check, the search and every relation read that one reduced
+    form.  The code is cyclic, which is checked rather than assumed: its
+    row space must absorb the one-column shift.  So from w = 3 on only the
+    sets through column 0 are scanned, and clearing the w = 4 level of a
+    d = 5 code takes O(n) rows and O(n^2) work, not O(n^2) rows.  Levels 2
+    to min(rank, w_max) share one stream of rows (``_lex_first_dependent``);
+    past the rank every set is dependent.  A code with delta <= 3 has at
+    most 4 parity rows over GF(q), so the stream never passes level 4;
+    delta >= 4 raises ValueError.  When every subset up to w_max is
+    independent the result carries value None with searched_up_to = w_max.
     """
     if w_max < 2:
         raise ValueError("w_max must be >= 2")
@@ -252,17 +316,17 @@ def min_distance_by_columns(code: bch.BchCode, w_max: int = 5) -> DistanceResult
     zero = np.nonzero(~mat.any(axis=0))[0]
     if top >= 1 and zero.size:
         return DistanceResult(1, ColumnsWitness((int(zero[0]),), (1,)), "column-search")
-    found = _lex_first_dependent(ctx, mat, top)
+    found = _lex_first_dependent(ctx, r_mat, top)
     if found:
         cols, coeffs = found
         return DistanceResult(len(cols), ColumnsWitness(cols, coeffs), "column-search")
     w = rk + 1
     if w <= min(w_max, mat.shape[1]):
-        # every w-subset is dependent; the lex-first is the first w columns
-        cols = tuple(range(w))
-        kern = gflin.kernel_basis(ctx, mat[:, cols])
-        coeffs = tuple(int(c) for c in kern[0])
-        return DistanceResult(w, ColumnsWitness(cols, coeffs), "column-search")
+        # every w-subset is dependent and the first rk columns are the
+        # pivots, so the lex-first is the first w columns, with the kernel
+        # vector of free column rk
+        coeffs = tuple(int(c) for c in ctx.neg_table[r_mat[:rk, rk]]) + (1,)
+        return DistanceResult(w, ColumnsWitness(tuple(range(w)), coeffs), "column-search")
     return DistanceResult(None, None, "column-search", searched_up_to=w_max)
 
 
@@ -556,7 +620,7 @@ def verify_witness(code: bch.BchCode, result: DistanceResult) -> bool:
             return False
         if any(not 0 <= c < code.n for c in wit.cols):
             return False
-        if any(c == 0 for c in wit.coeffs):
+        if any(not 0 < c < code.q for c in wit.coeffs):
             return False
         word = np.zeros(code.n, dtype=np.int64)
         word[list(wit.cols)] = wit.coeffs

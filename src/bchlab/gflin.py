@@ -3,8 +3,8 @@
 Matrices are numpy arrays of compact subfield labels (0..q-1, as produced by
 ``FieldContext.to_compact``); arithmetic goes through the context's q x q
 add/mul tables.  These routines serve one-off questions per code (rank, a
-kernel basis, re-checking a witness), not inner loops, so the row operations
-are plain loops with table gathers.
+kernel basis, re-checking a witness), not inner loops: ``rref`` loops over
+the pivots and reduces every row against each pivot in one gather.
 """
 
 from __future__ import annotations
@@ -13,33 +13,32 @@ import numpy as np
 
 
 def rref(ctx, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column list."""
+    """Reduced row echelon form and pivot column list.
+
+    Each pivot takes one pass over the whole matrix: row i gains f_i times
+    the pivot row scaled to 1, with f_i = -r_mat[i, c] off the pivot row and
+    f_r = 1 - a on it, which turns a * row into row.
+    """
     add, mul = ctx.add_table, ctx.mul_table
     inv, neg = ctx.inv_table, ctx.neg_table
     r_mat = np.array(mat, dtype=np.int64, copy=True)
     rows, cols = r_mat.shape
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
-        pr = -1
-        for i in range(r, rows):
-            if r_mat[i, c] != 0:
-                pr = i
-                break
+        below = r_mat[r:, c].tolist()
+        pr = next((i for i, x in enumerate(below) if x), -1)
         if pr < 0:
             continue
-        if pr != r:
-            r_mat[[r, pr]] = r_mat[[pr, r]]
-        scale = inv[r_mat[r, c]]
-        r_mat[r] = mul[scale, r_mat[r]]
-        for i in range(rows):
-            if i != r and r_mat[i, c] != 0:
-                f = neg[r_mat[i, c]]
-                r_mat[i] = add[r_mat[i], mul[f, r_mat[r]]]
+        if pr:
+            r_mat[[r, r + pr]] = r_mat[[r + pr, r]]
+        a = below[pr]
+        factor = neg[r_mat[:, c]]
+        factor[r] = add[1, neg[a]]
+        r_mat[:] = add[r_mat, mul[factor[:, None], mul[inv[a], r_mat[r]]]]
         pivots.append(c)
-        r += 1
     return r_mat, pivots
 
 

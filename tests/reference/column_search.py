@@ -1,21 +1,32 @@
-"""Reference column search: one ``gflin.rref`` per candidate subset.
+"""Reference column search: one ``rref`` per candidate subset.
 
 An independent, direct implementation of
 ``bchlab.distance.min_distance_by_columns``: every (w-1)-subset in lex order
 is row-reduced together with the columns after it.  It is the oracle for the
 prefix-quotient collision kernel, and slow (C(n, w-1) row reductions per
-weight level), so it is meant for differential tests at small q only.
+weight level), so it is meant for differential tests at small q only.  Its
+elimination is the row-by-row loop of ``linalg.py`` beside it, not the
+engine's ``gflin.rref``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 
-from bchlab import bch, gflin
+from bchlab import bch
 from bchlab.distance import ColumnsWitness, DistanceResult
 from bchlab.field import FieldContext
+
+# loaded by path, as the tests load this module
+_spec = importlib.util.spec_from_file_location(
+    "linalg_reference", Path(__file__).resolve().parent / "linalg.py"
+)
+linalg = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(linalg)
 
 
 def _first_w2(ctx: FieldContext, mat: np.ndarray) -> tuple | None:
@@ -58,7 +69,7 @@ def _first_dependent(ctx: FieldContext, mat: np.ndarray, w: int) -> tuple | None
         if last == n - 1:
             continue
         aug = np.concatenate([mat[:, subset], mat[:, last + 1 :]], axis=1)
-        red, piv = gflin.rref(ctx, aug)
+        red, piv = linalg.rref(ctx, aug)
         # the subset is independent, so its m columns hold the pivots
         ok = (red[m:, m:] == 0).all(axis=0) if red.shape[0] > m else np.ones(
             aug.shape[1] - m, dtype=bool
@@ -83,14 +94,14 @@ def min_distance_by_columns(code: bch.BchCode, w_max: int = 5) -> DistanceResult
         raise ValueError("w_max must be >= 2")
     ctx = code.ctx
     mat = bch.expanded_parity_matrix(code)
-    rk = gflin.rank(ctx, mat)
+    rk = linalg.rank(ctx, mat)
     for w in range(1, w_max + 1):
         if w > rk:
             # every w-subset is dependent; the lex-first is the first w columns
             if w > mat.shape[1]:
                 break
             cols = tuple(range(w))
-            kern = gflin.kernel_basis(ctx, mat[:, cols])
+            kern = linalg.kernel_basis(ctx, mat[:, cols])
             coeffs = tuple(int(c) for c in kern[0])
             return DistanceResult(w, ColumnsWitness(cols, coeffs), "column-search")
         found = _first_dependent(ctx, mat, w)

@@ -1,5 +1,5 @@
-"""``tools/bench_pairs.py``: seed parsing, the per-metric summary, and what
-SIGTERM leaves behind."""
+"""``tools/bench_pairs.py``: seed parsing, the per-metric summary and its
+verdict, and what SIGTERM leaves behind."""
 
 import importlib.util
 import os
@@ -69,6 +69,47 @@ def test_summarize_one_pair_spread():
     assert out["base"] == {"median": 4.0, "q1": 4.0, "q3": 4.0}
     assert out["head"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
     assert (out["head_won"], out["pairs"]) == (1, 1)
+
+
+def _verdict(base, head, direction="lower", bound=0.25):
+    return bench_pairs.summarize(_pairs(base, head), {"m": direction}, {"m": bound})["m"]
+
+
+def test_gain_needs_nine_in_ten_pairs_and_a_margin_past_the_spread():
+    base = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.0]  # quartiles 9.925, 10.075
+    out = _verdict(base, [b - 1.0 for b in base])
+    assert (out["head_won"], out["gain"], out["worse"], out["unresolved"]) == (10, True, False, False)
+    # 8 pairs won of 10 is not a gain, however wide the margin
+    assert not _verdict(base, [b - 1.0 for b in base[:8]] + [11.0, 11.0])["gain"]
+    # 9 won, with a margin of 0.1 inside the base's spread of 0.15
+    assert not _verdict(base, [b - 0.1 for b in base[:9]] + [b + 0.1 for b in base[9:]])["gain"]
+    # the same runs read the other way round for a higher-is-better metric
+    assert _verdict([b - 1.0 for b in base], base, "higher")["gain"]
+    assert not _verdict(base, [b - 1.0 for b in base], "higher")["gain"]
+
+
+def test_worse_is_a_median_past_the_bound():
+    base = [10.0] * 4
+    assert not _verdict(base, [12.4] * 4)["worse"]
+    assert _verdict(base, [12.6] * 4)["worse"]
+    assert _verdict(base, [7.4] * 4, "higher")["worse"]
+    assert not _verdict(base, [7.6] * 4, "higher")["worse"]
+    # better, by any amount, is never worse
+    assert not _verdict(base, [1.0] * 4)["worse"]
+
+
+def test_unresolved_is_a_quartile_spread_past_the_bound():
+    tight = [10.0, 10.0, 10.0, 10.0, 10.0]
+    wide = [6.0, 8.0, 10.0, 12.0, 14.0]  # quartiles 8 and 12: 40% of the median
+    assert not _verdict(tight, tight)["unresolved"]
+    assert _verdict(wide, tight)["unresolved"]
+    assert _verdict(tight, wide)["unresolved"]
+    assert not _verdict(wide, tight, bound=0.5)["unresolved"]
+
+
+def test_metric_without_a_bound_gets_no_worse_or_unresolved():
+    out = bench_pairs.summarize(_pairs([2.0, 2.0], [1.0, 1.0]), {"m": "lower"})["m"]
+    assert (out["bound"], out["worse"], out["unresolved"], out["gain"]) == (None, None, None, True)
 
 
 # the tool in a process of its own: nothing is exported, no git or numpy probe

@@ -1,19 +1,22 @@
 """Column search against the per-subset reference and the golden witnesses.
 
 ``reference/column_search.py`` holds the per-subset ``rref`` loop that the
-collision kernel replaced; both must return equal ``DistanceResult``s (value,
+collision kernel replaced, on the row-by-row ``rref`` of
+``reference/linalg.py``; both must return equal ``DistanceResult``s (value,
 lex-first columns, coefficients and ``searched_up_to``).  The golden file
 ``column_witnesses.json`` was recorded from that loop;
 ``column_witnesses_q64.json`` pins every delta = 3 witness with q <= 64 as
 the full lex scan gave it before the search was restricted to the sets
 through column 0.
 
-Column search walks one stream of rows, each named by its lower bound lo:
-the columns (lo = -1, w = 2), the columns modulo column 0 (lo = 0, w = 3)
-and the columns modulo columns 0 and j (lo = j, w = 4).  The tests below pin
-how the blocks cut that stream, that column 0 is eliminated once, and that
-codes with delta >= 4, whose search would pass level 4, are refused; delta = 2
-and delta = 3 codes are compared with the reference.
+Column search reduces the parity matrix once, to R, and walks one stream of
+rows, each named by its lower bound lo: the columns of R (lo = -1, w = 2),
+R modulo column 0 (lo = 0, w = 3) and R modulo columns 0 and j, keyed by
+points of P^1(GF(q)) (lo = j, w = 4).  The tests below pin how the blocks
+cut that stream, that the one reduction is the only elimination, the keys
+and their packing into one word per column, and that codes with delta >= 4,
+whose search would pass level 4, are refused; delta = 2 and delta = 3 codes
+are compared with the reference, whose elimination is its own.
 """
 
 import functools
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bchlab import bch, distance
+from bchlab import bch, distance, gflin
 from bchlab.bch import build_bch, expanded_parity_matrix
 from bchlab.distance import min_distance_by_columns, verify_witness
 from bchlab.field import build_field
@@ -41,6 +44,7 @@ _spec = importlib.util.spec_from_file_location(
 )
 reference = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(reference)
+linalg = reference.linalg
 
 
 def codes(max_q, delta):
@@ -162,9 +166,10 @@ def test_small_blocks_match_reference(monkeypatch, start, cap):
     blocks = []
     first_collision = distance._first_collision
 
-    def spy_collision(ctx, imgs, lo):
+    def spy_collision(keys, lo):
+        assert keys.shape[0] == len(lo)
         blocks.append([int(j) for j in lo])
-        return first_collision(ctx, imgs, lo)
+        return first_collision(keys, lo)
 
     monkeypatch.setattr(distance, "_first_collision", spy_collision)
     for code in codes(16, 3):
@@ -182,72 +187,121 @@ def test_small_blocks_match_reference(monkeypatch, start, cap):
 
 def test_first_block_holds_one_prefix_at_q1024(monkeypatch):
     # the witness of this d = 4 code sits on the third row of the stream,
-    # lo = 1 (the columns modulo columns 0 and 1): the rows eliminated up to
+    # lo = 1 (the columns modulo columns 0 and 1): the w = 4 rows keyed up to
     # the hit stay within a small multiple of its position, however large
     # the later blocks would be
-    eliminated = []
-    eliminate = distance._eliminate
+    keyed = []
+    p1_keys = distance._p1_keys
 
-    def spy(ctx, imgs, vecs):
-        eliminated.append(len(vecs))
-        return eliminate(ctx, imgs, vecs)
+    def spy(ctx, r1, js):
+        keyed.append([int(j) for j in js])
+        return p1_keys(ctx, r1, js)
 
-    monkeypatch.setattr(distance, "_eliminate", spy)
+    monkeypatch.setattr(distance, "_p1_keys", spy)
     code = build_bch(build_field(2, 10), 3, 746)
     res = min_distance_by_columns(code)
     assert res.value == 4 and res.witness.cols == (0, 1, 2, 415)
-    assert sum(eliminated) <= 3 * 3
+    assert keyed and keyed[0][0] == 1
+    assert sum(map(len, keyed)) <= 3
 
 
 @pytest.mark.parametrize("split", [False, True])
 def test_column_0_is_eliminated_once(monkeypatch, split):
-    # a q = 32, d = 4 code: the w = 3 row (0,) and the w = 4 head (0,) share
-    # one reduction, in one block (29 batched rows, not 30 with the w = 3
-    # row) or across a block boundary after (0,) (two calls, not three)
+    # a q = 32, d = 4 code, its stream in one block or cut after the w = 3
+    # row: column 0 is eliminated once, in the one reduction of the matrix,
+    # which the search, the cyclic check and the relation all read
     code = build_bch(build_field(2, 5), 3, 2)
     rows, n = expanded_parity_matrix(code).shape
     if split:
         monkeypatch.setattr(distance, "_COLLISION_START", 2 * rows * n)
-    eliminated = []
-    eliminate = distance._eliminate
+    calls = []
+    rref = gflin.rref
 
-    def spy(ctx, imgs, vecs):
-        eliminated.append(len(vecs))
-        return eliminate(ctx, imgs, vecs)
+    def spy_rref(ctx, mat):
+        calls.append(mat.shape)
+        return rref(ctx, mat)
 
-    monkeypatch.setattr(distance, "_eliminate", spy)
+    def no_kernel(ctx, mat):
+        raise AssertionError("column search took a kernel basis")
+
+    monkeypatch.setattr(gflin, "rref", spy_rref)
+    monkeypatch.setattr(gflin, "kernel_basis", no_kernel)
     res = min_distance_by_columns(code)
     assert res.value == 4
-    assert eliminated == ([1, 4] if split else [1, 29])
+    assert res == reference_result(2, 5, 3, 2, 5)
+    assert calls == [(rows, n)]
 
 
-@pytest.mark.parametrize("p, s, rows, n", [(2, 4, 4, 17), (3, 2, 6, 10), (2, 7, 10, 40)])
-def test_first_collision_matches_brute_force(p, s, rows, n):
-    # 10 rows at q = 128 need two key words per column: the lexsort path
-    ctx = build_field(p, s)
-    rng = np.random.default_rng(ctx.q)
-    imgs = rng.integers(0, ctx.q, size=(8, rows, n))
-    imgs[1, :, 3] = 0
-    for b in range(7):  # the last row keeps its random columns
-        for _ in range(b % 3):
-            k, l = rng.choice(n, 2, replace=False)
-            imgs[b][:, l] = ctx.mul_table[rng.integers(1, ctx.q), imgs[b][:, k]]
-    lo = rng.integers(-1, n // 2, size=8)
+def _brute_first_collision(keys, lo):
+    # per row, the smallest k > lo with a later equal key, then its first l
+    for b, row in enumerate(keys):
+        first = {}
+        best = None
+        for c in range(int(lo[b]) + 1, len(row)):
+            k = first.setdefault(row[c], c)
+            if k != c and (best is None or k < best[0]):
+                best = (k, c)
+        if best:
+            return (b, *best)
+    return None
 
-    def canon(col):
-        nz = np.nonzero(col)[0]
-        return tuple(ctx.mul_table[ctx.inv_table[col[nz[0]]], col]) if nz.size else ()
 
-    def brute(imgs, lo):
-        for b, img in enumerate(imgs):
-            keys = [canon(img[:, c]) for c in range(n)]
-            for k in range(lo[b] + 1, n):
-                for l in range(k + 1, n):
-                    if keys[k] == keys[l]:
-                        return b, k, l
-        return None
-
-    found = [brute(imgs[i:], lo[i:]) for i in range(8)]
+@pytest.mark.parametrize("bits", [13, 15])
+def test_first_collision_matches_brute_force(bits):
+    # scaled 4-row columns with labels of q = 2^13 and 2^15 and one more
+    # column than q: the packed key and the column index fill one int64
+    rng = np.random.default_rng(bits)
+    count, rows, n = 6, 4, (1 << bits) + 1
+    unit = rng.integers(0, 1 << bits, size=(count, rows, n))
+    # a few pivots below row 0, none in the last row, so that it has no
+    # collision
+    piv = rng.choice(rows, size=(count, n), p=[0.97, 0.01, 0.01, 0.01])
+    piv[-1] = 0
+    unit[np.arange(rows)[None, :, None] < piv[:, None, :]] = 0
+    np.put_along_axis(unit, piv[:, None], 1, axis=1)
+    unit[1, :, 7] = 0  # a zero column
+    for b in range(count - 1):  # the last row keeps its random columns
+        for k, l in rng.choice(n, size=(b % 3, 2), replace=False):
+            unit[b, :, l] = unit[b, :, k]
+    unit[2, 1:, -2:] = (1 << bits) - 1  # the largest labels, as a collision
+    unit[2, 0, -2:] = 1
+    keys = distance._pack_heads(unit, bits)
+    assert keys.dtype == np.int64 and int(keys.max()) < 1 << (63 - (n - 1).bit_length())
+    columns = [[tuple(unit[b, :, c]) for c in range(n)] for b in range(count)]
+    lo = rng.integers(-1, n // 2, size=count)
+    lo[2] = n - 4
+    found = [_brute_first_collision(columns[i:], lo[i:]) for i in range(count)]
     assert found[0] is not None and None in found
-    for i in range(8):
-        assert distance._first_collision(ctx, imgs[i:], lo[i:]) == found[i]
+    assert found[2] == (0, n - 2, n - 1)
+    for i in range(count):
+        assert distance._first_collision(keys[i:], lo[i:]) == found[i]
+
+
+@pytest.mark.parametrize("p, s", [(2, 4), (3, 2), (5, 2)])
+def test_p1_keys_match_canonical_points(p, s):
+    # two columns get one key modulo column j iff span(column j, column) is
+    # the same plane, taken as its reduced form, or the column lies in
+    # span(column j) (key q + 1)
+    ctx = build_field(p, s)
+    q = ctx.q
+    rng = np.random.default_rng(q)
+    n = 3 * q
+    r1 = rng.integers(0, q, size=(3, n))
+    r1[:, 0] = 0
+    r1[:, 1] = [0, 0, 1]  # pivot in the last row
+    r1[:, 2] = [0, 3 % q, 1]
+    for c in range(3, 3 + q):  # multiples of a few columns and of column j
+        r1[:, c] = ctx.mul_table[rng.integers(0, q), r1[:, rng.integers(1, 8)]]
+    js = np.flatnonzero(r1[:, :9].any(axis=0))  # a zero column j has no quotient
+    assert len(js) >= 4
+    keys = distance._p1_keys(ctx, r1, js)
+    assert keys.shape == (len(js), n)
+    for row, j in zip(keys, js):
+        canon = []
+        for c in range(n):
+            red, piv = linalg.rref(ctx, np.stack([r1[:, j], r1[:, c]]))
+            canon.append(None if len(piv) < 2 else tuple(red.ravel()))
+        assert all((k == q + 1) == (pt is None) for k, pt in zip(row, canon))
+        assert ((0 <= row) & (row <= q + 1)).all()
+        pairs = set(zip(row.tolist(), canon))
+        assert len(pairs) == len(set(row.tolist())) == len(set(canon))

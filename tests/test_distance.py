@@ -302,6 +302,20 @@ def test_out_of_range_labels_rejected(method):
         assert not verify_witness(code, tampered)
 
 
+@pytest.mark.parametrize("bad", [-7, 8])
+def test_column_witness_out_of_range_coefficients_rejected(bad):
+    # -7 would wrap to label 1 and still give a codeword; 8 = q would index
+    # past the tables
+    code = code_for(2, 3, 2)
+    res = min_distance_by_columns(code)
+    assert res.witness == ColumnsWitness((0, 1, 2, 3, 4), (1, 5, 4, 5, 1))
+    assert verify_witness(code, res)
+    tampered = DistanceResult(
+        res.value, ColumnsWitness(res.witness.cols, (bad,) + res.witness.coeffs[1:]), res.method
+    )
+    assert not verify_witness(code, tampered)
+
+
 def test_zero_word_witness_rejected():
     code = code_for(3, 2, 1)
     zero = DistanceResult(

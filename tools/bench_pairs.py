@@ -11,10 +11,13 @@ head on the second, and so on.
 
 The output JSON holds both shas and the tree hash of their ``src/``, the
 machine (nproc, Python and numpy versions), the seeds, every run's metrics and
-failed requests, and per workload and metric each side's median and quartiles
-and the number of pairs in which the head read better, ties counting for
-neither side.  Which direction is better comes from ``BENCHMARK.json`` of the
-head.  Standard library only.
+failed requests, and per workload and metric each side's median and quartiles,
+the number of pairs in which the head read better, ties counting for
+neither side, and the verdict: ``gain`` (9 in 10 pairs won and a median
+margin wider than the base's quartile spread), ``worse`` (the head's median
+worse by more than the metric's bound) and ``unresolved`` (a side's quartile
+spread wider than the bound).  Which direction is better, and the bounds,
+come from ``BENCHMARK.json`` of the head.  Standard library only.
 """
 
 from __future__ import annotations
@@ -94,20 +97,40 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the head won."""
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict | None = None) -> dict:
+    """Per metric: each side's median and quartiles, the pairs the head won,
+    and the verdict.
+
+    ``gain``: the head won at least 9 in 10 of the pairs, and its median is
+    better than the base's by more than the base's quartile spread.
+    ``worse``: the head's median is worse than the base's by more than
+    ``bound``, a fraction of the base's median.  ``unresolved``: a side's
+    quartile spread is wider than ``bound`` times its median.  A metric
+    without a bound gets None for the last two.
+    """
     out = {}
     for name in pairs[0]["base"]["metrics"]:
-        base = [p["base"]["metrics"][name] for p in pairs]
-        head = [p["head"]["metrics"][name] for p in pairs]
+        base = spread([p["base"]["metrics"][name] for p in pairs])
+        head = spread([p["head"]["metrics"][name] for p in pairs])
         direction = better.get(name, "lower")
         sign = -1 if direction == "lower" else 1
+        won = sum(
+            sign * (p["head"]["metrics"][name] - p["base"]["metrics"][name]) > 0 for p in pairs
+        )
+        margin = sign * (head["median"] - base["median"])
+        bound = (bounds or {}).get(name)
         out[name] = {
             "better": direction,
-            "base": spread(base),
-            "head": spread(head),
-            "head_won": sum(sign * (h - b) > 0 for b, h in zip(base, head)),
+            "base": base,
+            "head": head,
+            "head_won": won,
             "pairs": len(pairs),
+            "bound": bound,
+            "gain": 10 * won >= 9 * len(pairs) and margin > base["q3"] - base["q1"],
+            "worse": None if bound is None else -margin > bound * abs(base["median"]),
+            "unresolved": None if bound is None else any(
+                s["q3"] - s["q1"] > bound * abs(s["median"]) for s in (base, head)
+            ),
         }
     return out
 
@@ -139,6 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         bench = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())
         seconds = bench["run_seconds"] if args.seconds is None else args.seconds
         better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+        bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
         numpy_version = subprocess.run(
             [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
             check=True, capture_output=True, text=True,
@@ -175,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
                     )
                 pairs.append(pair)
             doc["workloads"][workload] = {
-                "metrics": summarize(pairs, better),
+                "metrics": summarize(pairs, better, bounds),
                 "failed": {s: sum(p[s]["failed"] for p in pairs) for s in sides},
                 "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in sides},
                 "runs": pairs,
