@@ -49,6 +49,15 @@ class BchCode:
     def q(self) -> int:
         return self.ctx.q
 
+    @functools.cached_property
+    def parity_matrix(self) -> np.ndarray:
+        """The expanded parity matrix, formed on first use and kept read-only;
+        read it through ``expanded_parity_matrix``."""
+        coords = self.ctx.unit_coords[:, _parity_exponents(self)]  # (2, delta-1, n)
+        mat = coords.transpose(1, 0, 2).reshape(-1, self.n).astype(np.int64)
+        mat.flags.writeable = False
+        return mat
+
     def __repr__(self) -> str:
         return (
             f"BchCode(q={self.q}, n={self.n}, delta={self.delta}, "
@@ -117,10 +126,11 @@ def expanded_parity_matrix(code: BchCode) -> np.ndarray:
     n - k (it drops below 2(delta-1) for the degenerate offsets).
 
     Entry i of parity row r is beta^((h+r)i), so both coordinates are column
-    (h+r)i mod q+1 of ``unit_coords``.
+    (h+r)i mod q+1 of ``unit_coords``.  The matrix is formed once per code and
+    is read-only (``BchCode.parity_matrix``): column search and every dual
+    trace word read the same array.
     """
-    coords = code.ctx.unit_coords[:, _parity_exponents(code)]  # (2, delta-1, n)
-    return coords.transpose(1, 0, 2).reshape(-1, code.n).astype(np.int64)
+    return code.parity_matrix
 
 
 def dual_basis(code: BchCode) -> np.ndarray:

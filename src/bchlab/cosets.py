@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -54,4 +57,24 @@ def all_cosets(n: int, q: int) -> list[CyclotomicCoset]:
     return out
 
 
-__all__ = ["CyclotomicCoset", "coset_of", "all_cosets"]
+@functools.lru_cache(maxsize=None)
+def coset_leaders(n: int, q: int) -> np.ndarray:
+    """The leaders (smallest members) of all q-cyclotomic cosets mod n, in
+    ascending order, as a read-only int64 array.
+
+    e is a leader iff e <= e * q^t mod n for every t, so one multiplication
+    of Z_n by q per t up to the order of q mod n marks them all.
+    """
+    if gcd(n, q) != 1:
+        raise ValueError(f"gcd(n={n}, q={q}) must be 1")
+    xs = np.arange(n, dtype=np.int64)
+    image, leader = xs * q % n, np.ones(n, dtype=bool)
+    while n > 1 and image[1] != 1:  # image = xs * q^t, until q^t = 1 mod n
+        leader &= image >= xs
+        image = image * q % n
+    leaders = xs[leader]
+    leaders.flags.writeable = False
+    return leaders
+
+
+__all__ = ["CyclotomicCoset", "coset_of", "all_cosets", "coset_leaders"]

@@ -42,17 +42,20 @@ from math import comb, gcd
 
 import numpy as np
 
-from . import bch, gflin
+from . import bch, cosets, gflin
 from .field import FieldContext
 
 # enumerated words (q^k) per exhaustive run
 EXHAUSTIVE_CAP = 1 << 26
 
 _BLOCK_ROWS = 1 << 19
-# reduced cells (stream rows x matrix rows x columns) per column-search block:
-# the first block holds about _COLLISION_START (one stream row from q = 1024
-# on), and each next block twice as many, up to _COLLISION_CELLS (a few MB)
-_COLLISION_START = 1 << 12
+# stream rows in the first column-search block: lo = -1, 0 and 1, that is
+# w = 2, w = 3 and w = 4 through columns 0 and 1, which hold every d <= 4
+# witness with q <= 64
+_FIRST_ROWS = 3
+# reduced cells (rows x matrix rows x columns) per later column-search block:
+# each block holds twice the cells of the one before, up to _COLLISION_CELLS
+# (a few MB)
 _COLLISION_CELLS = 1 << 18
 # histogram cells (2(q+1) per row) per root-count block: small enough that
 # the allocator recycles its arrays instead of mapping fresh pages on every call
@@ -203,6 +206,45 @@ def _relation(ctx: FieldContext, r_mat: np.ndarray, cols: tuple) -> tuple:
     return ((a, b) if len(cols) == 4 else (a,)) + (c, int(neg[1]))
 
 
+def _row_keys(ctx: FieldContext, r_mat: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """(len(js), n) keys of the rows named by the ascending ``js``.
+
+    Row j <= 1 is R with rows 0 .. j cleared, keyed by its scaled columns
+    (``_head_keys``): the columns of R (j = -1), R modulo column 0, which is
+    e_0 (j = 0), and R modulo columns 0 and 1 (j = 1), since column 1 is e_1
+    when it is independent of column 0.  When it is not, the two are equal
+    up to a factor, and row -1, which comes first, collides.  Row j >= 2 is
+    R[1:] modulo column j, keyed by points of P^1(GF(q)) (``_p1_keys``).
+    """
+    heads = []
+    # a block's rows -1 .. 1 are consecutive stream rows
+    for j in range(max(-1, int(js[0])), min(1, int(js[-1])) + 1):
+        heads.append(r_mat.copy())
+        heads[-1][: j + 1] = 0
+    keys = [_head_keys(ctx, np.stack(heads))] if heads else []
+    if js[-1] > 1:
+        keys.append(_p1_keys(ctx, r_mat[1:], js[js > 1]))
+    return np.concatenate(keys)
+
+
+def _walk(
+    ctx: FieldContext, r_mat: np.ndarray, js: np.ndarray, lo: np.ndarray, cells: int
+) -> tuple | None:
+    """First collision (j, k, l) with lo < k < l over the rows ``js`` in
+    order (``_first_collision``), walked in blocks of about ``cells`` reduced
+    cells that double up to _COLLISION_CELLS; None if no row has one."""
+    rows, n = r_mat.shape
+    start = 0
+    while start < len(js):
+        stop = start + max(1, cells // (rows * n))
+        found = _first_collision(_row_keys(ctx, r_mat, js[start:stop]), lo[start:stop])
+        if found:
+            b, k, l = found
+            return int(js[start + b]), k, l
+        start, cells = stop, min(2 * cells, _COLLISION_CELLS)
+    return None
+
+
 def _lex_first_dependent(ctx: FieldContext, r_mat: np.ndarray, top: int) -> tuple | None:
     """Lex-first dependent set of the smallest size w in 2..top <= 4, given
     the reduced echelon form ``r_mat`` of a matrix with no zero column whose
@@ -229,10 +271,12 @@ def _lex_first_dependent(ctx: FieldContext, r_mat: np.ndarray, top: int) -> tupl
     * lo = j = 1 .. n - 3, P = (0, j): the rows R1 = R[1:] modulo column j,
       each column keyed by its point of P^1(GF(q)) (``_p1_keys``; w = 4).
 
-    The first two kinds are keyed by their scaled columns (``_head_keys``).
-    The stream is cut at level ``top`` and walked in blocks of cells that
-    start at ``_COLLISION_START`` and double up to ``_COLLISION_CELLS``.
-    Each block looks for the first collision over all its rows at once.
+    The first two kinds are keyed by their scaled columns (``_head_keys``),
+    and so is row j = 1 (``_row_keys``).  The stream is cut at level
+    ``top``.  Its first _FIRST_ROWS rows, lo = -1, 0 and 1, are one block;
+    the rows after them are walked in blocks of cells that double, each
+    block searched for its first collision over all its rows at once
+    (``_walk``).
 
     The first collision in stream order is the answer.  Let d be the
     smallest size of a dependent set.  A row of level w <= d has a prefix of
@@ -243,29 +287,52 @@ def _lex_first_dependent(ctx: FieldContext, r_mat: np.ndarray, top: int) -> tupl
     but it comes after every row of level d, and when d <= top some row of
     level d holds the lex-first dependent set.  Its relation is read off R
     (``_relation``), scaled so that the last coefficient is -1.
+
+    When the first block has no collision and the stream goes on to the
+    w = 4 rows, d >= 4 and the rank is 4.  Before the rest of the stream, the
+    w = 4 level is then cleared on one row j per p-cyclotomic coset of Z_n,
+    each a full row: every column modulo columns 0 and j, with lo = 0 (as
+    d >= 4, only columns 0 and j have zero images).  A full row j collides
+    iff some {0, j, k, l} is dependent, that is iff j lies in the set J of
+    the j that share the support of a weight-4 codeword with 0.  J is a
+    union of p-cyclotomic cosets:
+
+    * The row space absorbs the shift, so the code, its orthogonal
+      complement, is a cyclic code of length n = q + 1 over GF(q).  Its zeros
+      are closed under multiplication by q, which is -1 mod n, so the
+      reflection (c_i) -> (c_(-i)) keeps the code.
+    * So does the semilinear map that moves c_i to position p * i and raises
+      it to the p-th power: sum_i c_i^p beta^(e p i) = (sum_i c_i beta^(e i))^p
+      vanishes wherever the code's words do.
+    * The two maps take a codeword on {0, j, k, l} to codewords on
+      {0, -j, -k, -l} and {0, pj, pk, pl}, and -1 = p^s mod n, so they
+      generate the p-cyclotomic coset of j.  Both follow from the shift
+      check, so neither is checked on its own.
+
+    A coset whose leader is at most the first block's last lo is skipped:
+    stream rows -1 .. lo hold every dependent {0, a, b, c} with a <= lo,
+    whichever of a, b, c is j.  When no coset row collides, J is empty and
+    d >= 5.  Otherwise the stream goes on from the row after the first
+    block, so every witness is the one the whole stream gives.
     """
     rows, n = r_mat.shape
-    cleared = r_mat.copy()
-    cleared[0] = 0
     lo = np.arange(-1, n - 2)
     lo = lo[np.minimum(lo, 1) + 3 <= top]  # level w = 2, 3, 4 by kind
-    cells, start = _COLLISION_START, 0
-    while start < len(lo):
-        block = lo[start : start + max(1, cells // (rows * n))]
-        start += len(block)
-        cells = min(2 * cells, _COLLISION_CELLS)
-        heads = [img for j, img in ((-1, r_mat), (0, cleared)) if block[0] <= j <= block[-1]]
-        keys = [_head_keys(ctx, np.stack(heads))] if heads else []
-        js = block[block > 0]
-        if js.size:
-            keys.append(_p1_keys(ctx, r_mat[1:], js))
-        found = _first_collision(np.concatenate(keys), block)
-        if found:
-            b, k, l = found
-            j = int(block[b])
-            cols = (() if j < 0 else (0,) if j == 0 else (0, j)) + (k, l)
-            return cols, _relation(ctx, r_mat, cols)
-    return None
+    head, tail = lo[:_FIRST_ROWS], lo[_FIRST_ROWS:]
+    found = _walk(ctx, r_mat, head, head, len(head) * rows * n)
+    later = min(2 * len(head) * rows * n, _COLLISION_CELLS)
+    if found is None and tail.size:
+        if tail[0] > 0:  # levels 2 and 3 cleared: d >= 4
+            leaders = cosets.coset_leaders(n, ctx.p)
+            leaders = leaders[leaders > head[-1]]
+            if _walk(ctx, r_mat, leaders, np.zeros_like(leaders), later) is None:
+                return None
+        found = _walk(ctx, r_mat, tail, tail, later)
+    if found is None:
+        return None
+    j, k, l = found
+    cols = (() if j < 0 else (0,) if j == 0 else (0, j)) + (k, l)
+    return cols, _relation(ctx, r_mat, cols)
 
 
 def _check_cyclic(ctx: FieldContext, mat: np.ndarray, r_mat: np.ndarray, pivots: list) -> None:
@@ -585,13 +652,14 @@ def _in_code(code: bch.BchCode, word: np.ndarray) -> bool:
 
     The products w_i * beta^((h+r)i) are formed through logs and summed by
     ``FieldContext.sums_vanish``, so no field addition of the code under test
-    is involved.
+    is involved.  Only the nonzero entries are read, since a zero entry adds
+    a zero term: a column witness sums at most 5 terms per row.
     """
     ctx = code.ctx
-    lw = ctx.log[ctx.from_compact(word)]
+    support = np.flatnonzero(word)
+    lw = ctx.log[ctx.from_compact(word[support])]
     r = np.arange(code.delta - 1, dtype=np.int64)[:, None]
-    shift = (code.h + r) * (ctx.q - 1) * np.arange(code.n, dtype=np.int64)
-    return ctx.sums_vanish(np.where(lw < 0, -1, lw + shift))
+    return not support.size or ctx.sums_vanish(lw + (code.h + r) * (ctx.q - 1) * support)
 
 
 def _in_dual(code: bch.BchCode, word: np.ndarray) -> bool:

@@ -31,6 +31,7 @@ from math import ceil, gcd
 
 import numpy as np
 
+from . import cosets
 from .field import FieldContext
 
 # ratio cells (pairs x points of U_{q+1}) per quadruple-search block: a few MB
@@ -151,13 +152,8 @@ def find_ratio_quadruple(ctx: FieldContext, h: int):
     xs = np.arange(n, dtype=np.int64)
     # t -> t^e permutes U_{q+1}, so no difference with x != z is zero
     base = zu[e * xs % n] - zu[xs]
-    # the rows w >= 1 that are the smallest of their orbit under w -> p*w;
-    # p has order dividing 2s mod q + 1
-    image, first = xs[1:], np.ones(n - 1, dtype=bool)
-    for _ in range(2 * ctx.s - 1):
-        image = image * ctx.p % n
-        first &= image >= xs[1:]
-    reps = xs[1:][first]
+    # the rows w >= 1 that are the smallest of their orbit under w -> p*w
+    reps = cosets.coset_leaders(n, ctx.p)[1:]
     bits = n.bit_length()
     mask = (1 << bits) - 1
     max_rows = max(1, _QUADRUPLE_CELLS // n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bchlab import bch, cosets, gflin
+from bchlab import bch, cosets, gflin, harness
 from bchlab.bch import (
     build_bch,
     dual_basis,
@@ -104,6 +104,28 @@ def test_expanded_rows_rebuild_parity_rows(q, p, s):
         for r, i in np.ndindex(rows.shape):
             rebuilt = ctx.add(int(c0[r, i]), ctx.mul(int(c1[r, i]), ctx.alpha))
             assert rebuilt == rows[r, i]
+
+
+def test_parity_matrix_is_read_only_and_formed_once_per_analyze(monkeypatch):
+    # column search and the dual trace word of one analyze read one array,
+    # which nobody can write to
+    formed = []
+    exponents = bch._parity_exponents
+
+    def spy(code):
+        formed.append(code.h)
+        return exponents(code)
+
+    monkeypatch.setattr(bch, "_parity_exponents", spy)
+    rec = harness.analyze(2, 5, 2)
+    assert rec.d == 4 and rec.d_dual is not None
+    assert formed == [2]
+    code = build_bch(build_field(3, 2), 3, 1)
+    mat = expanded_parity_matrix(code)
+    assert expanded_parity_matrix(code) is mat and len(formed) == 2
+    assert not mat.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mat[0, 0] = 1
 
 
 def test_kernel_of_expanded_equals_code():

@@ -112,6 +112,29 @@ def test_metric_without_a_bound_gets_no_worse_or_unresolved():
     assert (out["bound"], out["worse"], out["unresolved"], out["gain"]) == (None, None, None, True)
 
 
+def _runs_on_a_line(attempted, intercept=44.7, per_request=0.0004):
+    runs = [
+        {"attempted": a, "metrics": {"peak_rss_mb": intercept + per_request * a, "pass_s": 1.0}}
+        for a in attempted
+    ]
+    return [{"base": b, "head": h} for b, h in zip(runs[::2], runs[1::2])]
+
+
+def test_rss_fit_recovers_a_line():
+    # runs whose peak grows 0.4 KB per request from 44.7 MB, as the fit of
+    # theorems-32 in BENCH_24.json reads; both sides' runs are fitted
+    pairs = _runs_on_a_line([12_000, 18_500, 15_250, 30_000, 9_800, 21_000])
+    fit = bench_pairs.rss_fit(pairs)
+    assert fit["mb_per_1000_requests"] == pytest.approx(0.4)
+    assert fit["intercept_mb"] == pytest.approx(44.7)
+    assert fit["runs"] == 6
+    # no spread in requests, or no peak, gives no fit
+    assert bench_pairs.rss_fit(_runs_on_a_line([5_000, 5_000])) is None
+    for pair in pairs:
+        del pair["head"]["metrics"]["peak_rss_mb"]
+    assert bench_pairs.rss_fit(pairs) is None
+
+
 # the tool in a process of its own: nothing is exported, no git or numpy probe
 # runs, and the one benchmark run is a ``sleep`` that writes its pid first
 _TERMINATED_RUN = """

@@ -12,11 +12,15 @@ through column 0.
 Column search reduces the parity matrix once, to R, and walks one stream of
 rows, each named by its lower bound lo: the columns of R (lo = -1, w = 2),
 R modulo column 0 (lo = 0, w = 3) and R modulo columns 0 and j, keyed by
-points of P^1(GF(q)) (lo = j, w = 4).  The tests below pin how the blocks
-cut that stream, that the one reduction is the only elimination, the keys
-and their packing into one word per column, and that codes with delta >= 4,
-whose search would pass level 4, are refused; delta = 2 and delta = 3 codes
-are compared with the reference, whose elimination is its own.
+points of P^1(GF(q)) (lo = j, w = 4).  The first block is the rows
+lo = -1, 0 and 1; when it finds nothing, the w = 4 level is cleared on one
+full row per p-cyclotomic coset of Z_(q+1) before the rest of the stream.
+The tests below pin how the blocks cut that stream, which coset rows are
+keyed and that the rows that collide are a union of cosets, that the one
+reduction is the only elimination, the keys and their packing into one
+word per column, and that codes with delta >= 4, whose search would pass
+level 4, are refused; delta = 2 and delta = 3 codes are compared with the
+reference, whose elimination is its own.
 """
 
 import functools
@@ -29,6 +33,7 @@ import pytest
 
 from bchlab import bch, distance, gflin
 from bchlab.bch import build_bch, expanded_parity_matrix
+from bchlab.cosets import all_cosets
 from bchlab.distance import min_distance_by_columns, verify_witness
 from bchlab.field import build_field
 from bchlab.harness import prime_powers_upto
@@ -157,52 +162,141 @@ def test_non_cyclic_matrix_rejected(monkeypatch):
         min_distance_by_columns(code)
 
 
-@pytest.mark.parametrize("start, cap", [(1, 1), (100, 300)])
-def test_small_blocks_match_reference(monkeypatch, start, cap):
-    # one stream row per block, or a few: blocks then start and end inside a
-    # level and inside the run of w = 4 rows
-    monkeypatch.setattr(distance, "_COLLISION_START", start)
-    monkeypatch.setattr(distance, "_COLLISION_CELLS", cap)
+def _spy_blocks(monkeypatch):
+    """Record every block the search keys, as (js, lo) lists, in order."""
     blocks = []
-    first_collision = distance._first_collision
+    row_keys, first_collision = distance._row_keys, distance._first_collision
+
+    def spy_keys(ctx, r_mat, js):
+        blocks.append([[int(j) for j in js]])
+        return row_keys(ctx, r_mat, js)
 
     def spy_collision(keys, lo):
-        assert keys.shape[0] == len(lo)
-        blocks.append([int(j) for j in lo])
+        assert keys.shape[0] == len(lo) == len(blocks[-1][0])
+        blocks[-1].append([int(j) for j in lo])
         return first_collision(keys, lo)
 
+    monkeypatch.setattr(distance, "_row_keys", spy_keys)
     monkeypatch.setattr(distance, "_first_collision", spy_collision)
+    return blocks
+
+
+def _stream_and_coset_rows(blocks):
+    # a stream block names its rows by their lo; a coset block keys full rows
+    # (lo = 0) named by their j >= 1
+    stream = [j for js, lo in blocks if js == lo for j in js]
+    full = [j for js, lo in blocks if js != lo for j in js]
+    assert all(lo == [0] * len(js) for js, lo in blocks if js != lo)
+    return stream, full
+
+
+@pytest.mark.parametrize("start, cap", [(1, 1), (100, 300)])
+def test_small_blocks_match_reference(monkeypatch, start, cap):
+    # a first block of ``start`` stream rows and later blocks of at most
+    # ``cap`` cells.  (1, 1): the first block is the w = 2 row alone, and
+    # every later row, the w = 3 row first, is a block of its own; the w = 4
+    # level is not yet known to be the first, so no coset row is keyed.
+    # (100, 300): the first block is the whole stream of every code with
+    # q <= 16.
+    monkeypatch.setattr(distance, "_FIRST_ROWS", start)
+    monkeypatch.setattr(distance, "_COLLISION_CELLS", cap)
+    blocks = _spy_blocks(monkeypatch)
     for code in codes(16, 3):
         first = len(blocks)
         assert_matches_reference(code)
+        stream, full = _stream_and_coset_rows(blocks[first:])
         # the blocks walk the stream -1, 0, 1, 2, ... in order
-        stream = [j for block in blocks[first:] for j in block]
         assert stream == list(range(-1, len(stream) - 1))
-    if cap == 1:
-        assert {len(block) for block in blocks} == {1}
-    else:
-        levels = [{min(j, 1) + 3 for j in block} for block in blocks]
-        assert {2, 3, 4} in levels and {3, 4} in levels
+        assert not full
+        if cap == 1:
+            assert {len(js) for js, _ in blocks[first:]} == {1}
+        else:
+            assert len(blocks) == first + 1
 
 
 def test_first_block_holds_one_prefix_at_q1024(monkeypatch):
     # the witness of this d = 4 code sits on the third row of the stream,
-    # lo = 1 (the columns modulo columns 0 and 1): the w = 4 rows keyed up to
-    # the hit stay within a small multiple of its position, however large
-    # the later blocks would be
-    keyed = []
-    p1_keys = distance._p1_keys
-
-    def spy(ctx, r1, js):
-        keyed.append([int(j) for j in js])
-        return p1_keys(ctx, r1, js)
-
-    monkeypatch.setattr(distance, "_p1_keys", spy)
+    # lo = 1 (the columns modulo columns 0 and 1), which the first block
+    # ends with: that block, rows -1, 0 and 1, is the only one, and R with
+    # rows 0 and 1 cleared keys it, so no column is keyed by its P^1 point
+    blocks = _spy_blocks(monkeypatch)
+    monkeypatch.setattr(distance, "_p1_keys", None)
     code = build_bch(build_field(2, 10), 3, 746)
     res = min_distance_by_columns(code)
     assert res.value == 4 and res.witness.cols == (0, 1, 2, 415)
-    assert keyed and keyed[0][0] == 1
-    assert sum(map(len, keyed)) <= 3
+    assert blocks == [[[-1, 0, 1], [-1, 0, 1]]]
+
+
+def test_one_block_unless_d5(monkeypatch):
+    # every delta = 3 code with q <= 32 stops in the first block, rows -1,
+    # 0 and 1, unless d = 5; a d = 5 code then keys one full row per
+    # p-cyclotomic coset of Z_n, all but the cosets of 0 and 1
+    blocks = _spy_blocks(monkeypatch)
+    d5 = 0
+    for code in codes(32, 3):
+        first = len(blocks)
+        res = min_distance_by_columns(code)
+        mine = blocks[first:]
+        top = min(gflin.rank(code.ctx, expanded_parity_matrix(code)), 5)
+        assert mine[0][0] == list(range(-1, min(top - 2, 2)))
+        if res.value != 5:
+            assert len(mine) == 1, (code.ctx.q, code.h, res.value)
+            continue
+        d5 += 1
+        stream, full = _stream_and_coset_rows(mine)
+        assert stream == [-1, 0, 1]
+        leaders = [c.leader for c in all_cosets(code.n, code.ctx.p)]
+        assert full == [j for j in leaders if j > 1]
+    assert d5 == 18
+
+
+def test_two_row_first_block_matches_reference(monkeypatch):
+    # with the w = 4 row j = 1 out of the first block, every code with
+    # d >= 4 takes the coset rows, the coset of 1 among them, and a d = 4
+    # code then the stream from j = 1 on, in blocks of about two rows
+    monkeypatch.setattr(distance, "_FIRST_ROWS", 2)
+    monkeypatch.setattr(distance, "_COLLISION_CELLS", 300)
+    blocks = _spy_blocks(monkeypatch)
+    d4 = 0
+    for code in codes(32, 3):
+        first = len(blocks)
+        assert_matches_reference(code)
+        stream, full = _stream_and_coset_rows(blocks[first:])
+        value = min_distance_by_columns(code).value
+        if full:
+            # the stream goes on past the first block iff a coset row collides
+            assert full[0] == 1 and value in (4, 5)
+            assert (len(stream) > 2) == (value == 4)
+            d4 += value == 4
+    assert d4 == 152
+
+
+def test_full_rows_that_collide_are_a_union_of_cosets():
+    # for d >= 4, the full row j (every column modulo columns 0 and j)
+    # collides iff some {0, j, k, l} is dependent; the reflection and the
+    # Frobenius map of the cyclic code make those j a union of p-cyclotomic
+    # cosets, empty exactly when d = 5
+    checked = 0
+    for code in codes(32, 3):
+        res = min_distance_by_columns(code)
+        ctx, n = code.ctx, code.n
+        r_mat, pivots = gflin.rref(ctx, expanded_parity_matrix(code))
+        if res.value not in (4, 5) or len(pivots) < 4:  # d = 4 = rank + 1 has no w = 4 rows
+            continue
+        js = np.arange(1, n)
+        keys = distance._p1_keys(ctx, r_mat[1:], js)
+        hit = set()
+        for j, row in zip(js, keys):
+            others = np.delete(row, [0, j])
+            assert (others <= ctx.q).all()  # only columns 0 and j have zero images
+            if len(set(others.tolist())) < len(others):
+                hit.add(int(j))
+        for coset in all_cosets(n, ctx.p):
+            members = set(coset.members) - {0}
+            assert members <= hit or not members & hit, (ctx.q, code.h, coset)
+        assert (not hit) == (res.value == 5)
+        checked += 1
+    assert checked == 170
 
 
 @pytest.mark.parametrize("split", [False, True])
@@ -213,7 +307,7 @@ def test_column_0_is_eliminated_once(monkeypatch, split):
     code = build_bch(build_field(2, 5), 3, 2)
     rows, n = expanded_parity_matrix(code).shape
     if split:
-        monkeypatch.setattr(distance, "_COLLISION_START", 2 * rows * n)
+        monkeypatch.setattr(distance, "_FIRST_ROWS", 2)
     calls = []
     rref = gflin.rref
 

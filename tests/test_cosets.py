@@ -1,6 +1,7 @@
 import pytest
 
-from bchlab.cosets import all_cosets, coset_of
+from bchlab.cosets import all_cosets, coset_leaders, coset_of
+from bchlab.harness import prime_powers_upto
 
 
 def test_coset_of_zero():
@@ -72,3 +73,20 @@ def test_gcd_requirement():
         all_cosets(10, 5)
     with pytest.raises(ValueError):
         coset_of(9, 9, 8)
+    with pytest.raises(ValueError):
+        coset_leaders(10, 5)
+
+
+def test_coset_leaders_match_brute_force():
+    # e is a leader iff no e * m^t mod n is smaller; over the p-cyclotomic
+    # cosets mod q + 1 that column search and the quadruple search walk, and
+    # a few other moduli, with a multiplier of order 1 among them
+    cases = [(q + 1, p) for q, p, _ in prime_powers_upto(256)]
+    cases += [(1, 2), (2, 3), (7, 2), (15, 4), (21, 4), (26, 25), (12, 13)]
+    for n, m in cases:
+        brute = [e for e in range(n) if all(e <= e * pow(m, t, n) % n for t in range(n))]
+        leaders = coset_leaders(n, m)
+        assert leaders.tolist() == brute, (n, m)
+        assert leaders.tolist() == [c.leader for c in all_cosets(n, m)]
+        assert not leaders.flags.writeable
+        assert coset_leaders(n, m) is leaders

@@ -17,7 +17,11 @@ neither side, and the verdict: ``gain`` (9 in 10 pairs won and a median
 margin wider than the base's quartile spread), ``worse`` (the head's median
 worse by more than the metric's bound) and ``unresolved`` (a side's quartile
 spread wider than the bound).  Which direction is better, and the bounds,
-come from ``BENCHMARK.json`` of the head.  Standard library only.
+come from ``BENCHMARK.json`` of the head.  Beside the verdicts, each workload
+gets ``rss_fit``: ``peak_rss_mb`` fitted against the requests each run
+attempted, over every run of both sides, since ``perfbench/run.py`` keeps
+every pass's records and a faster side's peak rises with its request count.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -135,6 +139,23 @@ def summarize(pairs: list[dict], better: dict[str, str], bounds: dict | None = N
     return out
 
 
+def rss_fit(pairs: list[dict]) -> dict | None:
+    """Least-squares line of ``peak_rss_mb`` against requests attempted, over
+    every run of both sides: the MB per 1,000 requests, the intercept in MB
+    and the number of runs.  None when a run has no peak or every run
+    attempted the same number of requests."""
+    runs = [pair[side] for pair in pairs for side in ("base", "head")]
+    if any("peak_rss_mb" not in run["metrics"] for run in runs):
+        return None
+    attempted = [run["attempted"] for run in runs]
+    if len(set(attempted)) < 2:
+        return None
+    slope, intercept = statistics.linear_regression(
+        attempted, [run["metrics"]["peak_rss_mb"] for run in runs]
+    )
+    return {"mb_per_1000_requests": 1000 * slope, "intercept_mb": intercept, "runs": len(runs)}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", action="append", required=True)
@@ -200,6 +221,7 @@ def main(argv: list[str] | None = None) -> int:
                 pairs.append(pair)
             doc["workloads"][workload] = {
                 "metrics": summarize(pairs, better, bounds),
+                "rss_fit": rss_fit(pairs),
                 "failed": {s: sum(p[s]["failed"] for p in pairs) for s in sides},
                 "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in sides},
                 "runs": pairs,
