@@ -61,23 +61,21 @@ _PACK_BITS = 15
 _BLOCK_CELLS = 1 << 16
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+def check_field(p: int, s: int, max_q: int) -> None:
+    """Raise ValueError unless p is prime, s >= 1, q = p^s fits the int16
+    subfield labels (q <= 2^15) and q is within the table cap ``max_q``.
 
-
-def check_table_cap(q: int, max_q: int) -> None:
-    """Raise ValueError when q is past the table cap ``max_q``."""
+    Each message states the reason; the cap's alone adds advice, after a
+    ``"; "``, which ``harness.check_conjecture`` drops from its notes.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if s < 1:
+        raise ValueError(f"s={s} must be >= 1")
+    q = p**s
+    if q > 1 << 15:
+        # compact labels are int16, element indices and logs int32
+        raise ValueError(f"q={q} is too large for the int16 subfield tables")
     if q > max_q:
         raise ValueError(f"q={q} exceeds the table cap {max_q}; raise the cap explicitly")
 
@@ -97,22 +95,19 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factors(n) == [n]
+
+
 class FieldContext:
     """Immutable description of GF(p^(2s)) with its embedded GF(q).
 
     Built through :func:`build_field`; safe to share across workers.
     """
 
-    def __init__(self, p: int, s: int, max_q: int):
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        if s < 1:
-            raise ValueError(f"s={s} must be >= 1")
+    def __init__(self, p: int, s: int):
+        check_field(p, s, p**s)  # a context does not depend on the table cap
         q = p**s
-        check_table_cap(q, max_q)
-        if q > 1 << 15:
-            # compact labels are int16, element indices and logs int32
-            raise ValueError(f"q={q} is too large for the int16 subfield tables")
         self.p = p
         self.s = s
         self.q = q
@@ -327,18 +322,7 @@ class FieldContext:
         return acc
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p = self.p
-        acc = 0
-        pp = 1
-        while a:
-            d = a % p
-            if d:
-                acc += (p - d) * pp
-            a //= p
-            pp *= p
-        return acc
+        return self.mul(a, self.exp_at(self.log_minus_one))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -382,8 +366,7 @@ class FieldContext:
 
     def unit_circle(self) -> list[int]:
         """[beta^0, ..., beta^q]: the q+1 roots of x^(q+1) - 1, by exponent."""
-        step = self.q - 1
-        return [self.exp_at(step * j) for j in range(self.q + 1)]
+        return self.exp[(self.q - 1) * np.arange(self.q + 1)].tolist()  # (q-1)q < order
 
     def __repr__(self) -> str:
         return f"FieldContext(p={self.p}, s={self.s}, q={self.q})"
@@ -612,12 +595,11 @@ def build_field(p: int, s: int, max_q: int = MAX_TABLE_Q) -> FieldContext:
     """Deterministic GF(p^(2s)) context, cached per (p, s) within _CACHE_CELLS.
 
     The context does not depend on ``max_q``, so the cap is not part of the
-    cache key: it is checked on every call, before the cache is read.
+    cache key: ``check_field`` runs on every call, before the cache is read.
     ``build_field.cache_info()`` and ``build_field.cache_clear()`` reach the
     cache.
     """
-    if p**s > max_q:
-        return FieldContext(p, s, max_q)  # raises: a bad p, or q over the cap
+    check_field(p, s, max_q)
     global _misses
     key = (p, s)
     if key in _fields:
@@ -627,7 +609,7 @@ def build_field(p: int, s: int, max_q: int = MAX_TABLE_Q) -> FieldContext:
     cells = p ** (2 * s)
     while _fields and cells + sum(ctx.q2 for ctx in _fields.values()) > _CACHE_CELLS:
         _fields.popitem(last=False)
-    _fields[key] = FieldContext(p, s, max_q=p**s)  # build_field has checked the cap
+    _fields[key] = FieldContext(p, s)
     return _fields[key]
 
 
@@ -648,7 +630,7 @@ build_field.cache_clear = _cache_clear
 __all__ = [
     "FieldContext",
     "build_field",
-    "check_table_cap",
+    "check_field",
     "is_prime",
     "prime_factors",
     "MAX_TABLE_Q",

@@ -43,8 +43,6 @@ def rref(ctx, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(ctx, mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
     return len(rref(ctx, mat)[1])
 
 
@@ -54,17 +52,11 @@ def kernel_basis(ctx, mat: np.ndarray) -> np.ndarray:
     Rows are ordered by ascending free column, so the result is deterministic.
     A matrix with no rows yields the identity basis of the full space.
     """
-    neg = ctx.neg_table
-    if mat.shape[0] == 0:
-        return np.eye(mat.shape[1], dtype=np.int64)
     r_mat, pivots = rref(ctx, mat)
-    cols = mat.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for b_idx, fc in enumerate(free):
-        basis[b_idx, fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[b_idx, pc] = neg[r_mat[row_idx, fc]]
+    free = [c for c in range(mat.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), mat.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = ctx.neg_table[r_mat[: len(pivots), free]].T
     return basis
 
 

@@ -8,19 +8,22 @@ byte-identical across runs in ``--stable`` mode.  ``check_theorems`` and
 ``check_conjecture`` drive the same machinery for the cross-validation and
 the two open conjectures.
 
-The engines carry no q-cap.  The one limit on q is the field table cap,
-``AnalyzeOptions.max_table_q`` (``--max-table-q``): ``build_field`` checks it,
-and within it ``analyze`` runs every engine on every code.  ``sweep`` and
-``check_theorems`` check every field of their grid (p prime, s >= 1, q within
-the cap) before they analyze anything; ``sweep`` takes its p and h lists as
-their distinct values in ascending order.  ``check_conjecture`` marks an
-instance past the cap UNREACHED.  Only ``dual-distance --method dual-enum``
-stops earlier, at ``DUAL_ENUM_CAP_Q``.
+The engines carry no q-cap.  One field check, ``field.check_field``, decides
+which fields are reached: p prime, s >= 1, q <= 2^15 for the int16 subfield
+labels, and q within the field table cap ``AnalyzeOptions.max_table_q``
+(``--max-table-q``).  ``build_field`` runs it on every call, and within it
+``analyze`` runs every engine on every code.  ``sweep`` and
+``check_theorems`` run it on every field of their grid before they analyze
+anything; ``sweep`` takes its p and h lists as their distinct values in
+ascending order.  ``check_conjecture`` marks an instance that it rejects
+UNREACHED.  Only ``dual-distance --method dual-enum`` stops earlier, at
+``DUAL_ENUM_CAP_Q``.
 
 Exit codes: 0 = everything matches (findings allowed), 1 = a theorem
-prediction disagrees with ground truth, 2 = invalid invocation (a q past the
-table cap included) or an output path that cannot be written.  An invalid
-grid exits 2 before anything is analyzed or an output file is created.
+prediction disagrees with ground truth, 2 = invalid invocation (a field that
+``check_field`` rejects, or ``--threads`` below 1, included) or an output
+path that cannot be written.  An invalid grid exits 2 before anything is
+analyzed or an output file is created.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from math import gcd
 from typing import get_args, get_type_hints
 
 from . import bch, distance, theory
-from .field import MAX_TABLE_Q, build_field, check_table_cap, is_prime
+from .field import MAX_TABLE_Q, build_field, check_field, is_prime
 
 
 # ``dual-distance --method dual-enum`` stops at this q, before the field is
@@ -112,12 +115,8 @@ def analyze(p: int, s: int, h: int, options: AnalyzeOptions | None = None) -> Co
 
     rec.predicted_k = theory.predict_dimension(q, h)
     rec.predicted_k_dual = theory.predict_dual_dimension(q, h)
-    if rec.predicted_k != rec.k:
+    if rec.predicted_k != rec.k:  # the dual dimensions are n minus these
         mismatches.append(f"dimension: computed {rec.k}, predicted {rec.predicted_k}")
-    if rec.predicted_k_dual != rec.k_dual:
-        mismatches.append(
-            f"dual dimension: computed {rec.k_dual}, predicted {rec.predicted_k_dual}"
-        )
     pred = theory.predict_min_distance(ctx, h, resolve=True)
     rec.predicted_d = pred.outcome
     rec.resolved_d = pred.resolved
@@ -197,15 +196,11 @@ def _grid(fields: list[tuple[int, int]], h_policy: str | list[int], opts: Analyz
     """Per (p, s) field, in the order given, its (p, s, h) tasks with h
     distinct and ascending; a field's offsets are expanded when it is reached.
 
-    Raises ValueError before anything is expanded when a p is not prime, an s
-    is below 1 or a q = p^s is past the table cap.
+    Raises ValueError before anything is expanded when ``check_field``
+    rejects a field.
     """
     for p, s in fields:
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        if s < 1:
-            raise ValueError(f"s={s} must be >= 1")
-        check_table_cap(p**s, opts.max_table_q)
+        check_field(p, s, opts.max_table_q)
     hs = None if h_policy == "all" else sorted(set(h_policy))
     return (
         [(p, s, h) for h in (range(p**s + 1) if hs is None else hs) if 0 <= h <= p**s]
@@ -226,8 +221,9 @@ def _sweep_tasks(
 
 def _run(tasks: list[tuple], opts: AnalyzeOptions, threads: int) -> list[CodeRecord]:
     """``analyze`` on every (p, s, h) task, in task order."""
+    _check_threads(threads)
     columns = (*zip(*tasks), [opts] * len(tasks))
-    if threads <= 1:
+    if threads == 1:
         return list(map(analyze, *columns))
     # imported here: it pulls in multiprocessing, which a serial run never needs
     from concurrent.futures import ProcessPoolExecutor
@@ -237,6 +233,11 @@ def _run(tasks: list[tuple], opts: AnalyzeOptions, threads: int) -> list[CodeRec
         build_field(p, s, opts.max_table_q)
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(analyze, *columns, chunksize=4))
+
+
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads={threads} must be >= 1")
 
 
 def sweep(
@@ -250,8 +251,8 @@ def sweep(
     """One record per (p, s, h), ordered by (p, s, h); the p and h lists are
     taken as their distinct values in ascending order.
 
-    Raises ValueError before analyzing anything when a p is not prime, an s is
-    below 1, a q = p^s is past the table cap, or the grid holds no code.
+    Raises ValueError before analyzing anything when ``check_field`` rejects
+    a field, when the grid holds no code or when threads is below 1.
     """
     opts = options or AnalyzeOptions()
     return _run(_sweep_tasks(p_list, s_min, s_max, h_policy, opts), opts, threads)
@@ -275,8 +276,8 @@ def check_theorems(
 ) -> list[CodeRecord]:
     """Full cross-validation over every prime power q <= max_q, all offsets.
 
-    Raises ValueError before analyzing anything when a q is past the table
-    cap, or when no prime power is at most max_q.
+    Raises ValueError before analyzing anything when ``check_field`` rejects
+    a field, when no prime power is at most max_q or when threads is below 1.
     """
     opts = options or AnalyzeOptions()
     grid = prime_powers_upto(max_q)
@@ -301,9 +302,10 @@ def check_conjecture(
 ) -> list[dict]:
     """Evaluate one conjecture instance-by-instance within the caps.
 
-    Returns dicts with a ``status`` of CONFIRMED, REFUTED, or UNREACHED.
-    Raises ValueError for an unknown name, for s < 1, or for a p_max below 3,
-    which leaves dual-distance-q-p no instance.
+    Returns dicts with a ``status`` of CONFIRMED, REFUTED, or UNREACHED; an
+    instance that ``check_field`` rejects is UNREACHED, with the reason as its
+    note.  Raises ValueError for an unknown name, for s < 1, or for a p_max
+    below 3, which leaves dual-distance-q-p no instance.
     """
     if s is not None and s < 1:
         raise ValueError(f"s={s} must be >= 1")
@@ -337,10 +339,12 @@ def check_conjecture(
         raise ValueError(f"unknown conjecture {name!r}; choose from {CONJECTURES}")
     out: list[dict] = []
     for p, s_val, h, expected, note in instances:
-        q = p**s_val
-        if not note and q > opts.max_table_q:
-            note = f"q={q} exceeds the table cap {opts.max_table_q}"
-        row = {"conjecture": name, "p": p, "s": s_val, "q": q, "h": h, **expected}
+        if not note:
+            try:
+                check_field(p, s_val, opts.max_table_q)
+            except ValueError as exc:
+                note = str(exc).partition("; ")[0]  # the reason, not the advice
+        row = {"conjecture": name, "p": p, "s": s_val, "q": p**s_val, "h": h, **expected}
         row.update(dict.fromkeys(measured), status="UNREACHED", note=note)
         if not note:
             rec = analyze(p, s_val, h, opts)
@@ -526,6 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     opts = AnalyzeOptions(max_table_q=args.max_table_q)
     try:
+        _check_threads(args.threads)
         return _dispatch(args, opts)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -237,13 +237,6 @@ class Poly:
             return self
         return self.scale(self.ctx.inv(self.leading))
 
-    def evaluate(self, x: int) -> int:
-        ctx = self.ctx
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = ctx.add(ctx.mul(acc, x), c)
-        return acc
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

@@ -55,15 +55,8 @@ def predict_dimension(q: int, h: int) -> int:
     """Case-table dimension of the code with offset h."""
     if not 0 <= h <= q:
         raise ValueError(f"h={h} out of range [0, {q}]")
-    if q % 2 == 0:
-        if h == q // 2:
-            return q - 1
-        if h in (0, q):
-            return q - 2
-        return q - 3
-    if h in (0, (q - 1) // 2, (q + 1) // 2, q):
-        return q - 2
-    return q - 3
+    # g has 4 roots, 3 at a degenerate offset, 2 at h = q/2, where its cosets coincide
+    return q - 3 + (h in degenerate_offsets(q)) + (2 * h == q)
 
 
 def predict_dual_dimension(q: int, h: int) -> int:

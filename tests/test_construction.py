@@ -53,7 +53,7 @@ def _check_unit_coords(ctx, ks):
 
 def test_unit_coords_every_golden_field():
     for g in json.loads((HERE / "golden" / "fields.json").read_text()):
-        ctx = FieldContext(g["p"], g["s"], 4096)  # not cached: 70 fields
+        ctx = FieldContext(g["p"], g["s"])  # not cached: 70 fields
         _check_unit_coords(ctx, range(ctx.q + 1))
 
 

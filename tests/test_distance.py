@@ -78,7 +78,7 @@ def test_column_search_builds_no_zech_table():
     O(q) unit-circle tables and the (q, q) subfield tables, never the Zech
     residues that root-count reads."""
     for p, s in [(2, 4), (3, 2)]:
-        ctx = FieldContext(p, s, 4096)  # fresh: no table built yet
+        ctx = FieldContext(p, s)  # fresh: no table built yet
         for h in range(ctx.q + 1):
             code = build_bch(ctx, 3, h)
             res = min_distance_by_columns(code)
@@ -93,7 +93,7 @@ def test_root_count_keeps_only_the_zech_residues():
     one Zech table of the context: the trace word is formed on the subfield
     tables, and no q^2 table of Zech logarithms is kept."""
     for p, s in [(2, 4), (3, 2)]:
-        ctx = FieldContext(p, s, 4096)  # fresh: no table built yet
+        ctx = FieldContext(p, s)  # fresh: no table built yet
         code = build_bch(ctx, 3, 1)
         assert verify_witness(code, dual_min_distance(code, "root-count"))
         assert "zech_residues" in vars(ctx) and "zech" not in vars(ctx), (p, s)

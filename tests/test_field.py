@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bchlab.field import FieldContext, build_field, is_prime, prime_factors
+from bchlab.field import FieldContext, build_field, check_field, is_prime, prime_factors
 from bchlab.harness import prime_powers_upto
 
 HERE = Path(__file__).resolve().parent
@@ -139,8 +139,8 @@ def test_zero_handling():
 
 
 def test_determinism_of_two_builds():
-    a = FieldContext(3, 2, 4096)
-    b = FieldContext(3, 2, 4096)
+    a = FieldContext(3, 2)
+    b = FieldContext(3, 2)
     assert a.modulus == b.modulus
     assert a.alpha == b.alpha and a.beta == b.beta
     assert (a.exp == b.exp).all() and (a.log == b.log).all()
@@ -184,7 +184,25 @@ def test_build_field_cache_keeps_a_budget_of_cells(monkeypatch):
 def test_tables_too_large_for_int16_labels():
     # compact labels are int16; the check comes before any table is built
     with pytest.raises(ValueError, match="int16"):
-        FieldContext(2, 16, 1 << 16)
+        FieldContext(2, 16)
+    check_field(2, 15, 1 << 15)  # q = 2^15 is the largest the labels hold
+
+
+@pytest.mark.parametrize(
+    "p, s, max_q, message",
+    [
+        (4, 1, 4096, "p=4 is not prime"),
+        (4, 0, 4096, "p=4 is not prime"),
+        (2, 0, 4096, "s=0 must be >= 1"),
+        (2, 16, 8, "q=65536 is too large for the int16 subfield tables"),
+        (3, 3, 8, "q=27 exceeds the table cap 8; raise the cap explicitly"),
+    ],
+)
+def test_check_field_rejects_in_order(p, s, max_q, message):
+    # p, then s, then the int16 labels, then the cap; no cap lifts the labels
+    with pytest.raises(ValueError) as exc:
+        check_field(p, s, max_q)
+    assert str(exc.value) == message
 
 
 def _label(ctx, x):
@@ -236,7 +254,7 @@ def test_labels_add_and_negate_digitwise_every_golden_field():
     digit-wise sum and negation of the labels, checked against scalar
     ``add``/``neg`` read back by binary search; full tables up to q = 64."""
     for g in json.loads(GOLDEN.read_text()):
-        ctx = FieldContext(g["p"], g["s"], 4096)  # not cached: 70 fields
+        ctx = FieldContext(g["p"], g["s"])  # not cached: 70 fields
         p, s, q, sub = ctx.p, ctx.s, ctx.q, ctx.sub_sorted
         assert (np.diff(sub) > 0).all() and sub[0] == 0
         assert all(ctx.frobenius(int(x)) == int(x) for x in sub)
@@ -306,7 +324,7 @@ def test_zech_residues_every_golden_field():
     """Row v, column j is log(1 + alpha^(v + (q-1)j)) mod (q+1), and the one
     cell of a zero sum, in row 0, holds 0."""
     for g in json.loads(GOLDEN.read_text()):
-        ctx = FieldContext(g["p"], g["s"], 4096)  # not cached: 70 fields
+        ctx = FieldContext(g["p"], g["s"])  # not cached: 70 fields
         q = ctx.q
         res = ctx.zech_residues
         assert res.shape == (q - 1, q + 1) and res.dtype == np.uint16
@@ -326,6 +344,44 @@ def test_zech_residues_every_golden_field():
 def test_prime_helpers():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert prime_factors(360) == [2, 3, 5]
+    brute = [n for n in range(2, 2000) if all(n % d for d in range(2, n))]
+    assert [n for n in range(-3, 2000) if is_prime(n)] == brute
+
+
+@pytest.mark.parametrize(
+    "p,s,count",
+    [(p, s, None) for _, p, s in prime_powers_upto(27)] + [(3, 5, 10**4), (3, 7, 10**4)],
+)
+def test_neg_is_digitwise_negation(p, s, count):
+    """``neg`` through the log tables against each base-p digit of the
+    element index negated mod p: every element, or 0 and ``count`` random
+    ones."""
+    ctx = build_field(p, s)
+    elems = range(ctx.q2) if count is None else [0] + rng_elements(ctx, count, seed=ctx.q)
+    for a in elems:
+        assert ctx.neg(a) == _digitwise(p, 2 * s, 0, a, -1), (ctx.q, a)
+
+
+def test_sums_vanish_in_row_blocks():
+    """A large-delta generator check at q = 64 shape: 400 rows of 400 terms,
+    each row pairs of equal terms (zero in characteristic 2).  The digit sums
+    run in row blocks, so the int64 temporaries stay far below the 15 MB that
+    one pass over all rows would take, and the last block is still read."""
+    import tracemalloc
+
+    ctx = build_field(2, 6)
+    rng = np.random.default_rng(26)
+    half = rng.integers(-1, ctx.order, size=(400, 200))
+    logs = np.repeat(half, 2, axis=1)
+    tracemalloc.start()
+    try:
+        assert ctx.sums_vanish(logs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    logs[-1, -1] = -1 if logs[-1, -2] >= 0 else 0  # one lone term in the last row
+    assert not ctx.sums_vanish(logs)
 
 
 def test_golden_fields():
@@ -334,7 +390,7 @@ def test_golden_fields():
     golden = json.loads(GOLDEN.read_text())
     assert [(g["p"], g["s"]) for g in golden] == [(p, s) for _, p, s in prime_powers_upto(256)]
     for g in golden:
-        ctx = FieldContext(g["p"], g["s"], 4096)
+        ctx = FieldContext(g["p"], g["s"])
         got = {
             "p": ctx.p,
             "s": ctx.s,
@@ -370,7 +426,7 @@ def test_fill_matches_matrix_product_fill(p, s):
     the odd-p lane path, against the per-block matrix product.  At q = 4099
     the reference also tests the 4097 constants below p that the search
     skips."""
-    ctx = FieldContext(p, s, 4099)
+    ctx = FieldContext(p, s)
     assert ctx.alpha == reference.matrix_generator(p, ctx.modulus)
     exp, log = reference.matrix_fill(p, ctx.modulus, ctx.alpha)
     assert (ctx.exp.dtype, ctx.log.dtype) == (exp.dtype, log.dtype) == (np.int32, np.int32)
@@ -383,21 +439,21 @@ def test_alpha_is_the_first_generator_by_log():
     """On every golden field alpha is the first g >= 2 with
     gcd(log g, q^2 - 1) = 1, that is, the first generator in index order."""
     for g in json.loads(GOLDEN.read_text()):
-        ctx = FieldContext(g["p"], g["s"], 4096)  # not cached: 70 fields
+        ctx = FieldContext(g["p"], g["s"])  # not cached: 70 fields
         generators = np.gcd(ctx.log[2:].astype(np.int64), ctx.order) == 1
         assert ctx.alpha == g["alpha"] == 2 + int(np.argmax(generators))
 
 
 @pytest.mark.parametrize("p,s", [(2, 2), (3, 2), (7, 1), (2, 5)])
 def test_fill_rejects_non_primitive_element(p, s):
-    ctx = FieldContext(p, s, 4096)
+    ctx = FieldContext(p, s)
     g = ctx.exp_at(ctx.q + 1)  # order q - 1
     with pytest.raises(AssertionError, match="generator order too small"):
         ctx._exp_log_tables(g)
 
 
 def test_fill_rejects_table_that_does_not_close():
-    ctx = FieldContext(2, 2, 4096)
+    ctx = FieldContext(2, 2)
     ctx.modulus = (0, 0, 0, 0, 1)  # x^4: multiplication by x is nilpotent
     with pytest.raises(AssertionError, match="exp table does not close"):
         ctx._exp_log_tables(2)

@@ -53,9 +53,22 @@ def test_rref_matches_loop_on_random_matrices(p, s):
             if rows > 1:
                 mat[-1] = mat[0]  # a repeated row
             assert_same_rref(ctx, mat)
+            assert np.array_equal(gflin.kernel_basis(ctx, mat), linalg.kernel_basis(ctx, mat))
         # a matrix of low rank: every row a combination of two
         base = rng.integers(0, ctx.q, size=(2, cols))
         coef = rng.integers(0, ctx.q, size=(rows, 2))
         low = ctx.add_table[ctx.mul_table[coef[:, :1], base[0]], ctx.mul_table[coef[:, 1:], base[1]]]
         assert_same_rref(ctx, low)
     assert_same_rref(ctx, np.zeros((3, 5), dtype=np.int64))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 1), (0, 5), (1, 0), (4, 0)])
+def test_rank_and_kernel_of_empty_matrices(shape):
+    # rref finds no pivot: rank 0, and the kernel is the whole space, whose
+    # identity basis has no row when there is no column
+    ctx = build_field(3, 2)
+    mat = np.zeros(shape, dtype=np.int64)
+    assert gflin.rank(ctx, mat) == 0
+    basis = gflin.kernel_basis(ctx, mat)
+    assert basis.dtype == np.int64
+    assert np.array_equal(basis, np.eye(shape[1], dtype=np.int64))

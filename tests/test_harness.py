@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bchlab
-from bchlab.field import build_field
+from bchlab.field import build_field, check_field
 from bchlab.harness import (
     RECORD_FIELDS,
     AnalyzeOptions,
@@ -253,8 +253,17 @@ def test_conjecture_notes_name_the_binding_cap():
     assert by_p[7]["status"] == "CONFIRMED"
     assert by_p[11]["status"] == "UNREACHED"
     assert by_p[11]["note"] == "q=121 exceeds the table cap 100"
+    # the note is check_field's message without its advice
+    with pytest.raises(ValueError) as exc:
+        check_field(11, 2, 100)
+    assert str(exc.value) == "q=121 exceeds the table cap 100; raise the cap explicitly"
     (row,) = check_conjecture("even-s-amds", s=6, options=AnalyzeOptions(max_table_q=32))
     assert row["status"] == "UNREACHED" and row["note"] == "q=64 exceeds the table cap 32"
+    # past the int16 labels no cap helps, and the note says so
+    opts = AnalyzeOptions(max_table_q=100000)
+    (row,) = check_conjecture("even-s-amds", s=16, options=opts)
+    assert row["status"] == "UNREACHED" and row["d"] is None
+    assert row["note"] == "q=65536 is too large for the int16 subfield tables"
 
 
 def test_conjecture_unknown_name():
@@ -317,14 +326,26 @@ def test_cli_dual_distance_raised_table_cap(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, q",
+    "argv, message",
     [
-        (["sweep", "--p", "2", "--s-min", "4", "--s-max", "5", "--out", "rows.csv"], 32),
-        (["check-theorems", "--max-q", "32"], 17),
+        (
+            ["--max-table-q", "16", "sweep", "--p", "2", "--s-min", "4", "--s-max", "5"]
+            + ["--out", "rows.csv"],
+            "q=32 exceeds the table cap 16; raise the cap explicitly",
+        ),
+        (
+            ["--max-table-q", "16", "check-theorems", "--max-q", "32"],
+            "q=17 exceeds the table cap 16; raise the cap explicitly",
+        ),
+        # no table cap lifts the int16 labels, and the grid is checked first
+        (
+            ["--max-table-q", "100000", "check-theorems", "--max-q", "40000"],
+            "q=32771 is too large for the int16 subfield tables",
+        ),
     ],
-    ids=["sweep", "check-theorems"],
+    ids=["sweep", "check-theorems", "check-theorems-int16"],
 )
-def test_cli_past_table_cap_exits_2_before_analyzing(argv, q, tmp_path, monkeypatch, capsys):
+def test_cli_past_table_cap_exits_2_before_analyzing(argv, message, tmp_path, monkeypatch, capsys):
     from bchlab import harness
 
     def no_analyze(*args):
@@ -332,10 +353,11 @@ def test_cli_past_table_cap_exits_2_before_analyzing(argv, q, tmp_path, monkeypa
 
     monkeypatch.setattr(harness, "analyze", no_analyze)
     monkeypatch.chdir(tmp_path)
-    assert main(["--max-table-q", "16"] + argv) == 2
+    assert main(argv) == 2
     out = capsys.readouterr()
-    assert out.err == f"error: q={q} exceeds the table cap 16; raise the cap explicitly\n"
+    assert out.err == f"error: {message}\n"
     assert out.out == ""
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_sweep_and_outputs(tmp_path, capsys):
@@ -385,12 +407,17 @@ def test_cli_sweep_empty_grid_exits_2(grid, tmp_path, capsys):
         (["sweep", "--p", "4", "--s-min", "1", "--s-max", "1"], "rows.json"),
         (["sweep", "--p", "2", "--s-min", "0", "--s-max", "1"], "rows.json"),
         (["--max-table-q", "16", "sweep", "--p", "2", "--s-min", "4", "--s-max", "5"], "rows.json"),
+        (
+            ["--max-table-q", "100000", "sweep", "--p", "2", "--s-min", "16", "--s-max", "16"]
+            + ["--h", "1"],
+            "rows.json",
+        ),
         (["sweep", "--p", "2", "--s-min", "3", "--s-max", "2"], "rows.json"),
         (["sweep", "--p", "2", "--s-min", "1", "--s-max", "1", "--h", "10,11"], "rows.json"),
         # a valid grid whose --json cannot be opened after --out was
         (["sweep", "--p", "2", "--s-min", "1", "--s-max", "1"], "missing/rows.json"),
     ],
-    ids=["p-not-prime", "s-min-0", "past-table-cap", "s-range", "h-list", "bad-json"],
+    ids=["p-not-prime", "s-min-0", "past-table-cap", "past-int16", "s-range", "h-list", "bad-json"],
 )
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 def test_cli_sweep_rejected_grid_creates_no_file(
@@ -406,6 +433,40 @@ def test_cli_sweep_rejected_grid_creates_no_file(
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_raise(threads):
+    with pytest.raises(ValueError, match=f"threads={threads} must be >= 1"):
+        sweep([2], 1, 1, threads=threads)
+    with pytest.raises(ValueError, match=f"threads={threads} must be >= 1"):
+        check_theorems(4, threads=threads)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--p", "2", "--s-min", "1", "--s-max", "2", "--out", "rows.csv"]
+        + ["--json", "rows.json"],
+        ["check-theorems", "--max-q", "8"],
+    ],
+    ids=["sweep", "check-theorems"],
+)
+def test_cli_threads_below_one_exits_2_before_any_work(
+    threads, argv, tmp_path, monkeypatch, capsys
+):
+    from bchlab import harness
+
+    def no_analyze(*args):
+        raise AssertionError("analyze ran with --threads below 1")
+
+    monkeypatch.setattr(harness, "analyze", no_analyze)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--threads", threads] + argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: threads={threads} must be >= 1\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_sweep_takes_distinct_ascending_p(tmp_path):

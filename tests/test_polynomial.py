@@ -123,7 +123,6 @@ def test_minimal_polynomial_e0_is_x_minus_1():
     ctx = build_field(3, 1)
     f = minimal_polynomial(ctx, 0, ctx.q + 1)
     assert f.degree == 1
-    assert f.evaluate(1) == 0
     assert f == Poly.make(ctx, "q", [ctx.neg(1), 1])
 
 
