@@ -58,6 +58,14 @@ class BchCode:
         mat.flags.writeable = False
         return mat
 
+    @functools.cached_property
+    def compact_g(self) -> np.ndarray:
+        """The coefficients of g as compact labels, lowest degree first,
+        converted on first use and kept read-only."""
+        labels = self.ctx.to_compact(np.array(self.g.coeffs, dtype=np.int64))
+        labels.flags.writeable = False
+        return labels
+
     def __repr__(self) -> str:
         return (
             f"BchCode(q={self.q}, n={self.n}, delta={self.delta}, "
@@ -110,9 +118,8 @@ def parity_rows(code: BchCode) -> np.ndarray:
 
 def generator_matrix(code: BchCode) -> np.ndarray:
     """(k, n) compact-label matrix whose rows are x^i * g(x), i = 0..k-1."""
-    ctx = code.ctx
     mat = np.zeros((code.k, code.n), dtype=np.int64)
-    gc = ctx.to_compact(np.array(code.g.coeffs, dtype=np.int64))
+    gc = code.compact_g
     for i in range(code.k):
         mat[i, i : i + len(gc)] = gc
     return mat
@@ -151,7 +158,7 @@ class DualCodeword:
     word: tuple[int, ...]
 
     def weight(self) -> int:
-        return sum(1 for c in self.word if c)
+        return len(self.word) - self.word.count(0)
 
 
 def dual_codeword(code: BchCode, a: int, b: int) -> DualCodeword:

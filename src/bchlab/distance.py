@@ -19,10 +19,10 @@ Three independent routes to the same numbers:
   (a, b) per weight-preserving symmetry class (``root-count``).  On U_{q+1}
   that polynomial is u^(h+1) * Tr(u^h (a + b*u)), and the trace vanishes on
   one residue class of the discrete log mod q+1, so the root counts of every
-  class come from one histogram of Zech logarithms mod q+1
+  class with a, b nonzero come from one histogram of Zech logarithms mod q+1
   (``FieldContext.zech_residues``): O(q^2) work per code, in contiguous
-  blocks of rows with one subtraction and one ``bincount`` each.  The
-  minimum's trace word, whose weight must equal the count, is formed by
+  blocks of rows with one subtraction and one ``bincount`` each; the
+  classes with a = 0 or b = 0 take one gcd each.  The minimum's trace word, whose weight must equal the count, is formed by
   ``bch.dual_codeword`` from the rows of the expanded parity matrix, and
   reads none of those residues.
 
@@ -57,9 +57,11 @@ _FIRST_ROWS = 3
 # each block holds twice the cells of the one before, up to _COLLISION_CELLS
 # (a few MB)
 _COLLISION_CELLS = 1 << 18
-# histogram cells (2(q+1) per row) per root-count block: small enough that
-# the allocator recycles its arrays instead of mapping fresh pages on every call
-_ROOT_COUNT_CELLS = 1 << 14
+# histogram cells (2(q+1) per row) per root-count block: 96 KiB of int64
+# bins, and half that for the lane differences and the root counts, so that
+# each temporary of a block stays below glibc's 128 KiB mmap and trim
+# thresholds and the allocator recycles it instead of faulting in fresh pages
+_ROOT_COUNT_CELLS = 3 << 12
 
 
 @dataclass(frozen=True)
@@ -515,6 +517,18 @@ def exhaustive_min_distance(
 # ---------------------------------------------------------------------------
 
 
+def _axis_min(q: int, e: int) -> tuple[int, int]:
+    """(smallest positive weight, its first log x) over x*u^e for log x < g,
+    g = gcd(e(q-1), q+1): the axis class with that e (see ``_root_count_scan``)."""
+    n = q + 1
+    c = 0 if q % 2 == 0 else n // 2
+    g = gcd(e * (q - 1), n)
+    if g < n:
+        return n - g, c % g
+    # every u is a root of the zero word's cell L = c and of no other cell
+    return n, int(c == 0)
+
+
 def _root_count_scan(code: bch.BchCode):
     """Minimum positive weight over one (a, b) per symmetry class, with its (a, b).
 
@@ -527,13 +541,28 @@ def _root_count_scan(code: bch.BchCode):
     On U_{q+1}, b*u^(2h+2) + a*u^(2h+1) + a^q*u + b^q = u^(h+1) * Tr(X) with
     X = u^h * (a + b*u), so the weight is q+1 minus the number of u with
     Tr(X) = 0, that is with X = 0 or log X = c (mod q+1), where c = 0 for
-    even q and (q+1)/2 for odd q.  For u = beta^j,
-    log X = i + h(q-1)j + zech[v + (q-1)j], and the indices v + (q-1)j run
-    over every residue mod q^2-1 once.  So u is a root for exactly one i,
-    i = c - h(q-1)j - zech[v + (q-1)j] (mod q+1), and a histogram of that i
-    over j gives the root counts roots[v, i] of a whole row v at once.  X = 0
-    for one (v, j) only, v = 0 and alpha^((q-1)j) = -1, where every i has a
-    root.  The axis classes are pure exponent arithmetic.
+    even q and (q+1)/2 for odd q.
+
+    The axis classes are in closed form (``_axis_min``).  There X = x * u^e
+    with x = b, e = h+1 (a = 0) or x = a, e = h (b = 0), so for u = beta^j,
+    log X = L + e(q-1)j with L = log x, and u is a root iff
+    e(q-1)j = c - L (mod q+1).  The map j -> e(q-1)j is an endomorphism of
+    Z_(q+1) whose kernel has g = gcd(e(q-1), q+1) elements, so its image is
+    gZ_(q+1) and each point of it is hit g times (Lidl and Niederreiter,
+    *Finite Fields*, ch. 2).  Hence x has g roots, weight q+1-g, when
+    L = c (mod g), and weight q+1 otherwise.  L mod g is also what tells the
+    classes apart, log x < g: scaling by GF(q)^* moves L by multiples of q+1,
+    and the second symmetry moves it by e(q-1).  The first positive minimum
+    is L = c mod g with weight q+1-g, except for g = q+1, where that cell is
+    the zero word and the first other L has weight q+1; for g = 1 the one
+    cell, L = 0, has one root.
+
+    For both nonzero and u = beta^j, log X = i + h(q-1)j + zech[v + (q-1)j],
+    and the indices v + (q-1)j run over every residue mod q^2-1 once.  So u
+    is a root for exactly one i, i = c - h(q-1)j - zech[v + (q-1)j]
+    (mod q+1), and a histogram of that i over j gives the root counts
+    roots[v, i] of a whole row v at once.  X = 0 for one (v, j) only, v = 0
+    and alpha^((q-1)j) = -1, where every i has a root.
 
     The rows come from ``ctx.zech_residues`` (the Zech logs mod q+1) in
     contiguous blocks of _ROOT_COUNT_CELLS // (2(q+1)) rows.  A block is one
@@ -549,26 +578,10 @@ def _root_count_scan(code: bch.BchCode):
     n = q + 1
     c = 0 if ctx.p == 2 else n // 2
     j = np.arange(n, dtype=np.int64)
-
-    def first_min(weights: np.ndarray, offset: int) -> tuple[int, int]:
-        # (smallest positive weight, its first flat index); n+1 stands for none
-        masked = np.where(weights > 0, weights, n + 1)
-        pos = int(np.argmin(masked))
-        return int(masked.flat[pos]), offset + pos
-
-    def monomial_weights(e: int, logs: np.ndarray) -> np.ndarray:
-        # weights of x * u^e for x = alpha^logs: log X = log x + e(q-1)j
-        hist = np.bincount((e * (q - 1) * j) % n, minlength=n)
-        return n - hist[(c - logs) % n]
-
-    # a = 0, b != 0: orbits of log b under +(q+1) and +(q-1)(h+1)
-    g_b = gcd(q + 1, (q - 1) * (h + 1))
-    # b = 0, a != 0
-    g_a = gcd(q + 1, (q - 1) * h)
-    best = [
-        first_min(monomial_weights(h + 1, np.arange(g_b, dtype=np.int64)), 0),
-        first_min(monomial_weights(h, np.arange(g_a, dtype=np.int64)), g_b),
-    ]
+    # (weight, class rank, log a, log b): a = 0, then b = 0, then both nonzero
+    wb, lb = _axis_min(q, h + 1)
+    wa, la = _axis_min(q, h)
+    best = [(wb, 0, None, lb), (wa, 1, la, None)]
     # both nonzero: u = beta^j is a root iff i = target_j - res[v, j] (mod n);
     # row r's lanes are 2nr + n + target_j, so lane - res[v, j] falls in row
     # r's 2n bins, and adding the two halves of a row reduces it mod n
@@ -601,18 +614,11 @@ def _root_count_scan(code: bch.BchCode):
             i, dv = divmod(int(hit.argmax()), width)
             top, first = most, (i, v0 + dv)
     if first is not None:
-        best.append((n - top, g_b + g_a + first[0] * (q - 1) + first[1]))
-    value, idx = min(best)
-    if idx < g_b:
-        la, lb = None, idx
-    elif idx < g_b + g_a:
-        la, lb = idx - g_b, None
-    else:
-        la, v = divmod(idx - g_b - g_a, q - 1)
-        lb = la + v
+        best.append((n - top, 2, first[0], first[0] + first[1]))
+    value, _, la, lb = min(best)
     a = ctx.exp_at(la) if la is not None else 0
     b = ctx.exp_at(lb) if lb is not None else 0
-    return (value if value <= n else 0), (a, b)
+    return value, (a, b)
 
 
 def dual_min_distance(code: bch.BchCode, method: str = "root-count") -> DistanceResult:
@@ -671,7 +677,7 @@ def _in_dual(code: bch.BchCode, word: np.ndarray) -> bool:
     """
     ctx = code.ctx
     acc = np.zeros(code.k, dtype=np.int16)
-    for j, c in enumerate(ctx.to_compact(code.g.coeffs)):
+    for j, c in enumerate(code.compact_g):
         acc = ctx.add_table[acc, ctx.mul_table[c, word[j : j + code.k]]]
     return not acc.any()
 

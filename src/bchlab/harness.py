@@ -228,7 +228,9 @@ def _run(tasks: list[tuple], opts: AnalyzeOptions, threads: int) -> list[CodeRec
     # imported here: it pulls in multiprocessing, which a serial run never needs
     from concurrent.futures import ProcessPoolExecutor
 
-    # workers are forked, so fields built here are inherited, not rebuilt
+    # workers are forked, so the fields built here are inherited, not rebuilt;
+    # a field that the cache dropped before the fork is rebuilt by each worker
+    # that reaches it
     for p, s in dict.fromkeys((p, s) for p, s, _h in tasks):
         build_field(p, s, opts.max_table_q)
     with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -283,8 +285,8 @@ def check_theorems(
     grid = prime_powers_upto(max_q)
     if not grid:
         raise ValueError(f"no prime power q <= {max_q}")
-    per_field = _grid([(p, s) for _q, p, s in grid], "all", opts)
-    return [rec for tasks in per_field for rec in _run(tasks, opts, threads)]
+    fields = _grid([(p, s) for _q, p, s in grid], "all", opts)
+    return _run([task for tasks in fields for task in tasks], opts, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +565,7 @@ def _dispatch(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
             "k": code.k,
             "k_dual": code.n - code.k,
             "generator_degree": code.g.degree,
-            "generator_coeffs": [int(c) for c in ctx.to_compact(list(code.g.coeffs))],
+            "generator_coeffs": code.compact_g.tolist(),
         }
         if args.delta == 3:
             info["predicted_k"] = theory.predict_dimension(ctx.q, args.h)

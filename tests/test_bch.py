@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bchlab import bch, cosets, gflin, harness
+from bchlab import bch, cosets, distance, gflin, harness
 from bchlab.bch import (
     build_bch,
     dual_basis,
@@ -10,7 +10,7 @@ from bchlab.bch import (
     generator_matrix,
     parity_rows,
 )
-from bchlab.field import build_field
+from bchlab.field import FieldContext, build_field
 from bchlab.harness import prime_powers_upto
 from bchlab.polynomial import Poly, minimal_polynomial
 
@@ -126,6 +126,31 @@ def test_parity_matrix_is_read_only_and_formed_once_per_analyze(monkeypatch):
     assert not mat.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         mat[0, 0] = 1
+
+
+def test_compact_generator_is_read_only_and_converted_once(monkeypatch):
+    # generator_matrix and the dual-witness check read one label array of g
+    ctx = build_field(3, 2)
+    code = build_bch(ctx, 3, 2)
+    res = distance.dual_min_distance(code, "root-count")
+    converted = []
+    to_compact = FieldContext.to_compact
+
+    def spy(self, arr):
+        converted.append(len(arr))
+        return to_compact(self, arr)
+
+    monkeypatch.setattr(FieldContext, "to_compact", spy)
+    for _ in range(2):
+        assert distance.verify_witness(code, res)
+        gen = generator_matrix(code)
+    assert converted == [len(code.g.coeffs)]
+    labels = code.compact_g
+    assert labels.tolist() == to_compact(ctx, code.g.coeffs).tolist()
+    assert gen[0, : len(labels)].tolist() == labels.tolist()
+    assert not labels.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        labels[0] = 1
 
 
 def test_kernel_of_expanded_equals_code():

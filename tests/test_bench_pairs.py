@@ -135,6 +135,24 @@ def test_rss_fit_recovers_a_line():
     assert bench_pairs.rss_fit(pairs) is None
 
 
+def test_rss_fit_gives_the_pass_gain_that_the_rss_bound_allows():
+    # base runs of 62,730 requests on the line 44.84 MB + 0.3915 MB per 1,000
+    # requests, as the theorems-32 fit of BENCH_25.json reads
+    attempted = [62_730, 70_000, 62_730, 80_000, 62_730, 58_000]
+    pairs = _runs_on_a_line(attempted, intercept=44.84, per_request=0.0003915)
+    gain = bench_pairs.rss_fit(pairs, 0.1)["max_pass_gain"]
+    assert gain == pytest.approx(0.2203, abs=1e-4)
+    # a side that is faster by that much attempts R0 / (1 - x) requests, and
+    # the fitted peak then reads the base's peak plus the bound
+    peak = lambda requests: 44.84 + 0.0003915 * requests
+    assert peak(62_730 / (1 - gain)) == pytest.approx(1.1 * peak(62_730))
+    assert bench_pairs.rss_fit(pairs, 0.2)["max_pass_gain"] > gain
+    assert "max_pass_gain" not in bench_pairs.rss_fit(pairs)
+    # a peak that does not grow with the requests bounds no gain
+    flat = _runs_on_a_line(attempted, per_request=0.0)
+    assert bench_pairs.rss_fit(flat, 0.1)["max_pass_gain"] == 1.0
+
+
 # the tool in a process of its own: nothing is exported, no git or numpy probe
 # runs, and the one benchmark run is a ``sleep`` that writes its pid first
 _TERMINATED_RUN = """

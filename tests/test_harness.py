@@ -155,6 +155,26 @@ def test_sweep_parallel_matches_serial():
     assert strip(serial) == strip(parallel)
 
 
+def test_check_theorems_parallel_starts_one_pool(monkeypatch):
+    # one pool for the whole grid, not one per field, and the same records
+    import concurrent.futures
+
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    parallel = check_theorems(16, threads=2)
+    assert pools == [2]
+    serial = check_theorems(16)
+    assert pools == [2]
+    assert len(serial) == sum(q + 1 for q, _p, _s in prime_powers_upto(16))
+    assert records_to_csv(parallel, stable=True) == records_to_csv(serial, stable=True)
+
+
 def test_prime_powers_upto():
     assert prime_powers_upto(9) == [
         (2, 2, 1),

@@ -1,5 +1,9 @@
 """Root-count against the digit-sum reference and the golden witnesses.
 
+The closed form of the axis classes (``_axis_min``) is checked on its own
+against a direct count of the trace word's roots, for every class of every
+code with q <= 256, also the classes that do not win the scan.
+
 ``reference/root_count.py`` holds the per-digit evaluation scan that the
 trace-kernel histogram replaced; both must return the same minimum weight and
 the same first (a, b) witness.  The golden file was recorded from that scan.
@@ -13,8 +17,8 @@ import numpy as np
 import pytest
 
 from bchlab import distance
-from bchlab.bch import build_bch
-from bchlab.distance import _root_count_scan, dual_min_distance, verify_witness
+from bchlab.bch import build_bch, dual_codeword
+from bchlab.distance import _axis_min, _root_count_scan, dual_min_distance, verify_witness
 from bchlab.field import build_field
 from bchlab.harness import prime_powers_upto
 
@@ -94,3 +98,38 @@ def test_golden_witnesses():
         assert res.value == case["value"], (case["p"], case["s"], case["h"])
         assert res.witness.source == ("trace", case["a"], case["b"])
         assert verify_witness(code, res)
+
+
+def _trace_is_zero(ctx):
+    """Whether Tr(alpha^k) = alpha^k + alpha^(qk) is 0, for every k below the
+    order, from the sum of the two base-p digit vectors."""
+    k = np.arange(ctx.order, dtype=np.int64)
+    total = ctx.digits[ctx.exp[k]].astype(np.int32) + ctx.digits[ctx.exp[k * ctx.q % ctx.order]]
+    return ~(total % ctx.p).any(axis=1)
+
+
+def test_axis_classes_match_direct_root_count():
+    # the trace word of x * u^e is (Tr(x * beta^(ej)))_j; its weight depends
+    # on log x mod q+1 (scaling by GF(q)^*) and mod e(q-1) (u -> beta*u), so
+    # the first positive minimum over log x < q+1 is the class's first one
+    classes = 0
+    for q, p, s in prime_powers_upto(256):
+        ctx = build_field(p, s)
+        n = q + 1
+        zero = _trace_is_zero(ctx)
+        j = np.arange(n, dtype=np.int64)
+        for h in range(n):
+            for e in (h + 1, h):
+                logs = (j[:, None] + e * (q - 1) * j) % ctx.order  # [log x, j]
+                weights = n - zero[logs].sum(axis=1)
+                masked = np.where(weights > 0, weights, n + 1)
+                first = int(np.argmin(masked))
+                assert _axis_min(q, e) == (masked[first], first), (q, h, e)
+                classes += 1
+        # the counted word is the dual codeword of (0, x) or (x, 0)
+        for h in (0, 1, q // 2, q):
+            code = build_bch(ctx, 3, h)
+            for e, ab in ((h + 1, (0, 1)), (h, (1, 0))):
+                roots = zero[e * (q - 1) * j % ctx.order].sum()
+                assert dual_codeword(code, *ab).weight() == n - roots, (q, h, e)
+    assert classes == 15_016

@@ -20,7 +20,9 @@ spread wider than the bound).  Which direction is better, and the bounds,
 come from ``BENCHMARK.json`` of the head.  Beside the verdicts, each workload
 gets ``rss_fit``: ``peak_rss_mb`` fitted against the requests each run
 attempted, over every run of both sides, since ``perfbench/run.py`` keeps
-every pass's records and a faster side's peak rises with its request count.
+every pass's records and a faster side's peak rises with its request count;
+its ``max_pass_gain`` is the largest drop in ``pass_s`` for which that fit
+keeps ``peak_rss_mb`` within its bound.
 Standard library only.
 """
 
@@ -139,11 +141,20 @@ def summarize(pairs: list[dict], better: dict[str, str], bounds: dict | None = N
     return out
 
 
-def rss_fit(pairs: list[dict]) -> dict | None:
+def rss_fit(pairs: list[dict], bound: float | None = None) -> dict | None:
     """Least-squares line of ``peak_rss_mb`` against requests attempted, over
     every run of both sides: the MB per 1,000 requests, the intercept in MB
     and the number of runs.  None when a run has no peak or every run
-    attempted the same number of requests."""
+    attempted the same number of requests.
+
+    With ``bound``, the fraction by which ``peak_rss_mb`` may rise, the fit
+    also gets ``max_pass_gain``: the largest fractional drop x in ``pass_s``
+    for which the fitted peak stays within the bound.  A run is time-bounded,
+    so a side whose passes take 1 - x of the time attempts R0 / (1 - x)
+    requests, R0 the base's median; with P0 the fitted peak at R0 and s the
+    slope, the peak stays within (1 + bound) * P0 while
+    x <= bound * P0 / (bound * P0 + s * R0).  A slope of 0 or below gives 1.
+    """
     runs = [pair[side] for pair in pairs for side in ("base", "head")]
     if any("peak_rss_mb" not in run["metrics"] for run in runs):
         return None
@@ -153,7 +164,12 @@ def rss_fit(pairs: list[dict]) -> dict | None:
     slope, intercept = statistics.linear_regression(
         attempted, [run["metrics"]["peak_rss_mb"] for run in runs]
     )
-    return {"mb_per_1000_requests": 1000 * slope, "intercept_mb": intercept, "runs": len(runs)}
+    fit = {"mb_per_1000_requests": 1000 * slope, "intercept_mb": intercept, "runs": len(runs)}
+    if bound is not None:
+        requests = statistics.median(pair["base"]["attempted"] for pair in pairs)
+        room = bound * (intercept + slope * requests)
+        fit["max_pass_gain"] = 1.0 if slope <= 0 else room / (room + slope * requests)
+    return fit
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -221,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
                 pairs.append(pair)
             doc["workloads"][workload] = {
                 "metrics": summarize(pairs, better, bounds),
-                "rss_fit": rss_fit(pairs),
+                "rss_fit": rss_fit(pairs, bounds.get("peak_rss_mb")),
                 "failed": {s: sum(p[s]["failed"] for p in pairs) for s in sides},
                 "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in sides},
                 "runs": pairs,
