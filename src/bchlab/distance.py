@@ -8,8 +8,8 @@ Three independent routes to the same numbers:
   It reduces the matrix H once, to R = rref(H) = E * H with E invertible,
   so every linear relation among columns, every set of columns equal up
   to factors and every relation of a minimal dependent set is the same on
-  R as on H; the cyclic check, the search and the witness relation all
-  read R.
+  R as on H; the search and the witness relation read R, and the cyclic
+  check rides in the same reduction, which carries the shifted rows of H.
 * ``exhaustive_min_distance`` enumerates every codeword of a generator
   matrix (blockwise, vectorised), with a MacWilliams fallback through the
   dual when the direct enumeration would blow the cap.
@@ -22,7 +22,8 @@ Three independent routes to the same numbers:
   class with a, b nonzero come from one histogram of Zech logarithms mod q+1
   (``FieldContext.zech_residues``): O(q^2) work per code, in contiguous
   blocks of rows with one subtraction and one ``bincount`` each; the
-  classes with a = 0 or b = 0 take one gcd each.  The minimum's trace word, whose weight must equal the count, is formed by
+  classes with a = 0 or b = 0 take one gcd each.  The minimum's trace
+  word, whose weight must equal the count, is formed by
   ``bch.dual_codeword`` from the rows of the expanded parity matrix, and
   reads none of those residues.
 
@@ -98,25 +99,33 @@ def _gather(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return table.ravel().take(np.multiply(a, table.shape[1], dtype=np.intp) + b)
 
 
-def _pack_heads(unit: np.ndarray, bits: int) -> np.ndarray:
-    """One int64 key per column of ``unit`` (count, rows <= 4, n), whose
-    columns are scaled so that their first nonzero entry is 1.
+def _pack_words(unit: np.ndarray, bits: int) -> np.ndarray:
+    """One int64 word per column of ``unit`` (rows <= 4 along axis -2),
+    whose columns are scaled so that their last nonzero entry is 1.
 
-    Row 0 then reads 0 or 1 and takes 1 bit, and rows 1 .. rows - 1 take
-    ``bits`` bits each: 46 bits at q = 2^15, which leaves room for a 16-bit
-    column index.  Equal keys mean equal columns, and a zero column keeps
-    key 0.
+    The last row then reads 0 or 1 and takes bit 0, and the rows above it
+    take ``bits`` bits each, row 0 the highest: 46 bits at q = 2^15, which
+    leaves room for a 16-bit column index.  Rows j + 1 .. of a column are
+    the word's lowest 1 + bits * (rows - 2 - j) bits.
     """
-    unit = unit.astype(np.int64)
-    return unit[:, 0] + sum(unit[:, r] << (1 + bits * (r - 1)) for r in range(1, unit.shape[1]))
+    rows = unit.shape[-2]
+    shifts = [1 + bits * (rows - 2 - r) for r in range(rows - 1)] + [0]
+    return np.left_shift(1, shifts, dtype=np.int64) @ unit
 
 
-def _head_keys(ctx: FieldContext, imgs: np.ndarray) -> np.ndarray:
-    """Keys of the columns of ``imgs`` (count, rows <= 4, n) that are equal
-    iff the columns are nonzero multiples of each other (``_pack_heads``)."""
-    lead = np.choose((imgs != 0).argmax(axis=1), imgs.transpose(1, 0, 2))
-    unit = _gather(ctx.mul_table, ctx.inv_table[lead][:, None], imgs)
-    return _pack_heads(unit, max(1, (ctx.q - 1).bit_length()))
+def _column_words(ctx: FieldContext, r_mat: np.ndarray, bits: int) -> np.ndarray:
+    """The columns of ``r_mat`` (rows <= 4, n), each scaled by the inverse of
+    its last nonzero entry and packed into one word (``_pack_words``).
+
+    A suffix of a column scaled so is either that suffix scaled so or zero,
+    so masking a word to rows j + 1 .. gives a key of the suffix that is
+    equal iff the suffixes are nonzero multiples of each other or both zero.
+    A zero column keeps word 0.
+    """
+    rows, n = r_mat.shape
+    last = rows - 1 - (r_mat[::-1] != 0).argmax(axis=0)
+    scale = ctx.inv_table[r_mat[last, np.arange(n)]]
+    return _pack_words(_gather(ctx.mul_table, scale, r_mat), bits)
 
 
 # the rows of a 3-row matrix other than row p, for p = 0, 1, 2
@@ -211,22 +220,23 @@ def _relation(ctx: FieldContext, r_mat: np.ndarray, cols: tuple) -> tuple:
 def _row_keys(ctx: FieldContext, r_mat: np.ndarray, js: np.ndarray) -> np.ndarray:
     """(len(js), n) keys of the rows named by the ascending ``js``.
 
-    Row j <= 1 is R with rows 0 .. j cleared, keyed by its scaled columns
-    (``_head_keys``): the columns of R (j = -1), R modulo column 0, which is
-    e_0 (j = 0), and R modulo columns 0 and 1 (j = 1), since column 1 is e_1
-    when it is independent of column 0.  When it is not, the two are equal
-    up to a factor, and row -1, which comes first, collides.  Row j >= 2 is
-    R[1:] modulo column j, keyed by points of P^1(GF(q)) (``_p1_keys``).
+    Row j <= 1 is R with rows 0 .. j cleared, keyed by its columns' words
+    masked to rows j + 1 .. (``_column_words``): the columns of R (j = -1),
+    R modulo column 0, which is e_0 (j = 0), and R modulo columns 0 and 1
+    (j = 1), since column 1 is e_1 when it is independent of column 0.  When
+    it is not, the two are equal up to a factor, and row -1, which comes
+    first, collides.  Row j >= 2 is R[1:] modulo column j, keyed by points
+    of P^1(GF(q)) (``_p1_keys``).
     """
-    heads = []
-    # a block's rows -1 .. 1 are consecutive stream rows
-    for j in range(max(-1, int(js[0])), min(1, int(js[-1])) + 1):
-        heads.append(r_mat.copy())
-        heads[-1][: j + 1] = 0
-    keys = [_head_keys(ctx, np.stack(heads))] if heads else []
-    if js[-1] > 1:
-        keys.append(_p1_keys(ctx, r_mat[1:], js[js > 1]))
-    return np.concatenate(keys)
+    heads, tail = js[js <= 1], js[js > 1]
+    keys = []
+    if heads.size:
+        bits = max(1, (ctx.q - 1).bit_length())
+        masks = np.left_shift(1, 1 + bits * (len(r_mat) - 2 - heads)) - 1
+        keys.append(_column_words(ctx, r_mat, bits) & masks[:, None])
+    if tail.size:
+        keys.append(_p1_keys(ctx, r_mat[1:], tail))
+    return keys[0] if len(keys) == 1 else np.concatenate(keys)
 
 
 def _walk(
@@ -273,12 +283,12 @@ def _lex_first_dependent(ctx: FieldContext, r_mat: np.ndarray, top: int) -> tupl
     * lo = j = 1 .. n - 3, P = (0, j): the rows R1 = R[1:] modulo column j,
       each column keyed by its point of P^1(GF(q)) (``_p1_keys``; w = 4).
 
-    The first two kinds are keyed by their scaled columns (``_head_keys``),
-    and so is row j = 1 (``_row_keys``).  The stream is cut at level
-    ``top``.  Its first _FIRST_ROWS rows, lo = -1, 0 and 1, are one block;
-    the rows after them are walked in blocks of cells that double, each
-    block searched for its first collision over all its rows at once
-    (``_walk``).
+    The first two kinds, and row j = 1, are keyed by one packed word per
+    column of R, masked to the rows that the row keeps (``_row_keys``).
+    The stream is cut at level ``top``.  Its first _FIRST_ROWS rows,
+    lo = -1, 0 and 1, are one block; the rows after them are walked in
+    blocks of cells that double, each block searched for its first
+    collision over all its rows at once (``_walk``).
 
     The first collision in stream order is the answer.  Let d be the
     smallest size of a dependent set.  A row of level w <= d has a prefix of
@@ -337,40 +347,24 @@ def _lex_first_dependent(ctx: FieldContext, r_mat: np.ndarray, top: int) -> tupl
     return cols, _relation(ctx, r_mat, cols)
 
 
-def _check_cyclic(ctx: FieldContext, mat: np.ndarray, r_mat: np.ndarray, pivots: list) -> None:
-    """Raise AssertionError unless the shifted columns ``np.roll(mat, 1, axis=1)``
-    lie in the row space of ``mat``, given its reduced echelon form.
-
-    Row i of R has 1 at pivot i and 0 at the other pivots, so a shifted row
-    s lies in the row space iff s equals the sum of s[pivot_i] * R[i]: one
-    gather of every product, one gather per further pivot to sum them and
-    one compare.
-    """
-    rk = len(pivots)
-    # column c of the shifted matrix is column c - 1 of mat
-    prods = _gather(ctx.mul_table, mat[:, [c - 1 for c in pivots], None], r_mat[None, :rk])
-    span = np.zeros_like(mat) if rk == 0 else prods[:, 0]
-    for i in range(1, rk):
-        span = _gather(ctx.add_table, span, prods[:, i])
-    if (span[:, 1:] != mat[:, :-1]).any() or (span[:, 0] != mat[:, -1]).any():
-        raise AssertionError("parity matrix is not invariant under the cyclic shift")
-
-
 def min_distance_by_columns(code: bch.BchCode, w_max: int = 5) -> DistanceResult:
     """Smallest w <= w_max with w linearly dependent parity columns.
 
     Support sets are scanned in lexicographic order per weight level, so the
     witness is the lex-first dependent set.  The matrix is reduced once;
-    the cyclic check, the search and every relation read that one reduced
-    form.  The code is cyclic, which is checked rather than assumed: its
-    row space must absorb the one-column shift.  So from w = 3 on only the
-    sets through column 0 are scanned, and clearing the w = 4 level of a
-    d = 5 code takes O(n) rows and O(n^2) work, not O(n^2) rows.  Levels 2
-    to min(rank, w_max) share one stream of rows (``_lex_first_dependent``);
-    past the rank every set is dependent.  A code with delta <= 3 has at
-    most 4 parity rows over GF(q), so the stream never passes level 4;
-    delta >= 4 raises ValueError.  When every subset up to w_max is
-    independent the result carries value None with searched_up_to = w_max.
+    the search and every relation read that one reduced form.  The code is
+    cyclic, which is checked rather than assumed: its row space must absorb
+    the one-column shift, so the shifted rows, carried through the same
+    reduction and never pivots, must end as zero (``gflin.rref``), and a
+    matrix that fails raises AssertionError before any row is keyed.  So
+    from w = 3 on only the sets through column 0 are scanned, and clearing
+    the w = 4 level of a d = 5 code takes O(n) rows and O(n^2) work, not
+    O(n^2) rows.  Levels 2 to min(rank, w_max) share one stream of rows
+    (``_lex_first_dependent``); past the rank every set is dependent.  A
+    code with delta <= 3 has at most 4 parity rows over GF(q), so the
+    stream never passes level 4; delta >= 4 raises ValueError.  When every
+    subset up to w_max is independent the result carries value None with
+    searched_up_to = w_max.
     """
     if w_max < 2:
         raise ValueError("w_max must be >= 2")
@@ -378,8 +372,11 @@ def min_distance_by_columns(code: bch.BchCode, w_max: int = 5) -> DistanceResult
         raise ValueError("column search requires delta <= 3")
     ctx = code.ctx
     mat = bch.expanded_parity_matrix(code)
-    r_mat, pivots = gflin.rref(ctx, mat)
-    _check_cyclic(ctx, mat, r_mat, pivots)
+    # the shifted rows ride through the one reduction and must end as zero
+    reduced, pivots = gflin.rref(ctx, mat, carry=np.roll(mat, 1, axis=1))
+    r_mat = reduced[: len(mat)]
+    if reduced[len(mat) :].any():
+        raise AssertionError("parity matrix is not invariant under the cyclic shift")
     rk = len(pivots)
     top = min(rk, w_max)
     zero = np.nonzero(~mat.any(axis=0))[0]

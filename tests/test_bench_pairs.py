@@ -153,6 +153,30 @@ def test_rss_fit_gives_the_pass_gain_that_the_rss_bound_allows():
     assert bench_pairs.rss_fit(flat, 0.1)["max_pass_gain"] == 1.0
 
 
+def test_rss_fit_reads_each_side_at_the_base_median_requests():
+    # both sides on one line, the head attempting more requests: read at R0,
+    # the base's median of 60,000 requests, the head's peaks, 8-10 MB higher
+    # as read, equal the base's
+    base = [55_000, 60_000, 65_000, 60_000]
+    head = [80_000, 90_000, 85_000, 75_000]
+    attempted = [a for pair in zip(base, head) for a in pair]
+    pairs = _runs_on_a_line(attempted, intercept=44.84, per_request=0.0004)
+    fit = bench_pairs.rss_fit(pairs)
+    at_r0 = 44.84 + 0.0004 * 60_000
+    assert fit["requests"] == 60_000
+    for side in ("base", "head"):
+        for key in ("median", "q1", "q3"):
+            assert fit[f"{side}_peak_at_requests"][key] == pytest.approx(at_r0)
+    # a head 3 MB above the base at every count reads 3 MB above it at R0
+    twice = [a for a in base for _ in range(2)]
+    same = _runs_on_a_line(twice, intercept=44.84, per_request=0.0004)
+    for pair in same:
+        pair["head"]["metrics"]["peak_rss_mb"] += 3.0
+    fit = bench_pairs.rss_fit(same)
+    assert fit["base_peak_at_requests"]["median"] == pytest.approx(at_r0)
+    assert fit["head_peak_at_requests"]["median"] == pytest.approx(at_r0 + 3.0)
+
+
 # the tool in a process of its own: nothing is exported, no git or numpy probe
 # runs, and the one benchmark run is a ``sleep`` that writes its pid first
 _TERMINATED_RUN = """

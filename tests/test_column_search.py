@@ -17,10 +17,11 @@ lo = -1, 0 and 1; when it finds nothing, the w = 4 level is cleared on one
 full row per p-cyclotomic coset of Z_(q+1) before the rest of the stream.
 The tests below pin how the blocks cut that stream, which coset rows are
 keyed and that the rows that collide are a union of cosets, that the one
-reduction is the only elimination, the keys and their packing into one
-word per column, and that codes with delta >= 4, whose search would pass
-level 4, are refused; delta = 2 and delta = 3 codes are compared with the
-reference, whose elimination is its own.
+reduction is the only elimination and carries the cyclic check, which
+rejects a matrix before any row is keyed, the keys and their packing into
+one word per column, and that codes with delta >= 4, whose search would
+pass level 4, are refused; delta = 2 and delta = 3 codes are compared with
+the reference, whose elimination is its own.
 """
 
 import functools
@@ -37,6 +38,7 @@ from bchlab.cosets import all_cosets
 from bchlab.distance import min_distance_by_columns, verify_witness
 from bchlab.field import build_field
 from bchlab.harness import prime_powers_upto
+from bchlab.theory import degenerate_offsets
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "column_witnesses.json"
@@ -153,13 +155,65 @@ def test_d5_code_at_q512_clears():
 
 
 def test_non_cyclic_matrix_rejected(monkeypatch):
+    # the rejection comes from the one reduction, before any row is keyed
     code = build_bch(build_field(2, 4), 3, 3)
     mat = expanded_parity_matrix(code)
     perm = list(range(code.n))
     perm[1], perm[2] = perm[2], perm[1]
     monkeypatch.setattr(bch, "expanded_parity_matrix", lambda code: mat[:, perm])
+    monkeypatch.setattr(distance, "_row_keys", None)
     with pytest.raises(AssertionError, match="cyclic shift"):
         min_distance_by_columns(code)
+
+
+def _shift_residual(ctx, mat):
+    # each shifted row s minus the sum of s[pivot_i] * R[i], R = rref(mat) by
+    # the reference loop: zero iff s lies in the row space
+    red, piv = linalg.rref(ctx, mat)
+    shifted = np.roll(mat, 1, axis=1)
+    out = shifted.copy()
+    for i, c in enumerate(piv):
+        out = ctx.add_table[out, ctx.mul_table[ctx.neg_table[shifted[:, c]][:, None], red[i]]]
+    return out, piv
+
+
+def test_shift_residual_off_the_pivots_rejected(monkeypatch):
+    # rows m_(c+k) = lam^-k (indices mod n), for four ratios lam with
+    # lam^n = lam^2 != 1: the shift takes each row to lam times itself plus
+    # a multiple of e_c, so the residual is nonzero in column c alone, past
+    # the pivots 0 .. 3, where the reduction leaves every carried row zero
+    ctx = build_field(2, 4)
+    code = build_bch(ctx, 3, 3)
+    n, c = code.n, 9
+    mat = np.zeros((4, n), dtype=np.int64)
+    for row, lam in zip(mat, [2, 3, 4, 5]):
+        x = 1
+        for k in range(n):
+            row[(c + k) % n] = x
+            x = ctx.mul_table[x, ctx.inv_table[lam]]
+    residual, piv = _shift_residual(ctx, mat)
+    assert piv == [0, 1, 2, 3]
+    assert np.flatnonzero(residual.any(axis=0)).tolist() == [c]
+    monkeypatch.setattr(bch, "expanded_parity_matrix", lambda code: mat)
+    monkeypatch.setattr(distance, "_row_keys", None)
+    with pytest.raises(AssertionError, match="cyclic shift"):
+        min_distance_by_columns(code)
+
+
+def test_degenerate_offsets_pass_the_shift_check():
+    # at a degenerate offset the parity matrix has rank < 4 and its shift
+    # still lies in the row space, so every carried row reduces to zero
+    checked = 0
+    for q, p, s in prime_powers_upto(32):
+        ctx = build_field(p, s)
+        for h in sorted(degenerate_offsets(q)):
+            code = build_bch(ctx, 3, h)
+            mat = expanded_parity_matrix(code)
+            assert not _shift_residual(ctx, mat)[0].any()
+            assert gflin.rank(ctx, mat) < 4
+            assert_matches_reference(code)
+            checked += 1
+    assert checked == 67
 
 
 def _spy_blocks(monkeypatch):
@@ -303,7 +357,8 @@ def test_full_rows_that_collide_are_a_union_of_cosets():
 def test_column_0_is_eliminated_once(monkeypatch, split):
     # a q = 32, d = 4 code, its stream in one block or cut after the w = 3
     # row: column 0 is eliminated once, in the one reduction of the matrix,
-    # which the search, the cyclic check and the relation all read
+    # which carries the shifted rows for the cyclic check and which the
+    # search and the relation read
     code = build_bch(build_field(2, 5), 3, 2)
     rows, n = expanded_parity_matrix(code).shape
     if split:
@@ -311,9 +366,10 @@ def test_column_0_is_eliminated_once(monkeypatch, split):
     calls = []
     rref = gflin.rref
 
-    def spy_rref(ctx, mat):
+    def spy_rref(ctx, mat, carry=None):
         calls.append(mat.shape)
-        return rref(ctx, mat)
+        assert np.array_equal(carry, np.roll(mat, 1, axis=1))
+        return rref(ctx, mat, carry)
 
     def no_kernel(ctx, mat):
         raise AssertionError("column search took a kernel basis")
@@ -342,25 +398,27 @@ def _brute_first_collision(keys, lo):
 
 @pytest.mark.parametrize("bits", [13, 15])
 def test_first_collision_matches_brute_force(bits):
-    # scaled 4-row columns with labels of q = 2^13 and 2^15 and one more
-    # column than q: the packed key and the column index fill one int64
+    # 4-row columns scaled so that their last nonzero entry is 1, with labels
+    # of q = 2^13 and 2^15 and one more column than q: the packed word and
+    # the column index fill one int64
     rng = np.random.default_rng(bits)
     count, rows, n = 6, 4, (1 << bits) + 1
     unit = rng.integers(0, 1 << bits, size=(count, rows, n))
-    # a few pivots below row 0, none in the last row, so that it has no
-    # collision
-    piv = rng.choice(rows, size=(count, n), p=[0.97, 0.01, 0.01, 0.01])
-    piv[-1] = 0
-    unit[np.arange(rows)[None, :, None] < piv[:, None, :]] = 0
-    np.put_along_axis(unit, piv[:, None], 1, axis=1)
+    # a few last nonzero entries above the last row, none in the last batch
+    # row, so that it has no collision
+    last = rng.choice(rows, size=(count, n), p=[0.01, 0.01, 0.01, 0.97])
+    last[-1] = rows - 1
+    unit[np.arange(rows)[None, :, None] > last[:, None, :]] = 0
+    np.put_along_axis(unit, last[:, None], 1, axis=1)
     unit[1, :, 7] = 0  # a zero column
     for b in range(count - 1):  # the last row keeps its random columns
         for k, l in rng.choice(n, size=(b % 3, 2), replace=False):
             unit[b, :, l] = unit[b, :, k]
-    unit[2, 1:, -2:] = (1 << bits) - 1  # the largest labels, as a collision
-    unit[2, 0, -2:] = 1
-    keys = distance._pack_heads(unit, bits)
+    unit[2, :-1, -2:] = (1 << bits) - 1  # the largest labels, as a collision
+    unit[2, -1, -2:] = 1
+    keys = distance._pack_words(unit, bits)
     assert keys.dtype == np.int64 and int(keys.max()) < 1 << (63 - (n - 1).bit_length())
+    assert int(keys[2, -1]) == (1 << (1 + 3 * bits)) - 1
     columns = [[tuple(unit[b, :, c]) for c in range(n)] for b in range(count)]
     lo = rng.integers(-1, n // 2, size=count)
     lo[2] = n - 4
@@ -369,6 +427,37 @@ def test_first_collision_matches_brute_force(bits):
     assert found[2] == (0, n - 2, n - 1)
     for i in range(count):
         assert distance._first_collision(keys[i:], lo[i:]) == found[i]
+
+
+def _first_block_codes():
+    yield from codes(32, 2)
+    yield from codes(32, 3)
+    for p, s in [(3, 5), (2, 8)]:
+        ctx = build_field(p, s)
+        for h in np.random.default_rng(ctx.q).choice(ctx.q + 1, size=4, replace=False):
+            yield build_bch(ctx, 3, int(h))
+        yield build_bch(ctx, 3, ctx.q // 2)  # a degenerate offset
+
+
+def test_first_block_keys_match_suffix_points():
+    # row j <= 1 keys column c by rows j + 1 .. of R: two keys are equal iff
+    # the two suffixes are nonzero multiples of each other or both zero, that
+    # is iff the reference reduction of each suffix, as one row, is the same;
+    # a zero suffix, and only it, has key 0
+    checked = 0
+    for code in _first_block_codes():
+        ctx = code.ctx
+        r_mat, _ = gflin.rref(ctx, expanded_parity_matrix(code))
+        rows, n = r_mat.shape
+        js = np.arange(-1, min(2, rows - 1))
+        keys = distance._row_keys(ctx, r_mat, js)
+        assert keys.shape == (len(js), n)
+        for j, row in zip(js, keys.tolist()):
+            points = [tuple(linalg.rref(ctx, r_mat[j + 1 :, c][None])[0][0]) for c in range(n)]
+            assert [k == 0 for k in row] == [not any(pt) for pt in points]
+            assert len(set(zip(row, points))) == len(set(row)) == len(set(points))
+        checked += 1
+    assert checked == 608
 
 
 @pytest.mark.parametrize("p, s", [(2, 4), (3, 2), (5, 2)])

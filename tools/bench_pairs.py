@@ -22,7 +22,8 @@ gets ``rss_fit``: ``peak_rss_mb`` fitted against the requests each run
 attempted, over every run of both sides, since ``perfbench/run.py`` keeps
 every pass's records and a faster side's peak rises with its request count;
 its ``max_pass_gain`` is the largest drop in ``pass_s`` for which that fit
-keeps ``peak_rss_mb`` within its bound.
+keeps ``peak_rss_mb`` within its bound, and each side's peaks are also read
+along it at the base's median request count.
 Standard library only.
 """
 
@@ -147,6 +148,12 @@ def rss_fit(pairs: list[dict], bound: float | None = None) -> dict | None:
     and the number of runs.  None when a run has no peak or every run
     attempted the same number of requests.
 
+    ``requests`` is R0, the base's median request count, and
+    ``base_peak_at_requests`` and ``head_peak_at_requests`` are each side's
+    peaks read at R0 along the fit, peak - slope * (attempted - R0): their
+    median and quartiles compare the sides' memory without the share that
+    comes from one side attempting more requests in its time.
+
     With ``bound``, the fraction by which ``peak_rss_mb`` may rise, the fit
     also gets ``max_pass_gain``: the largest fractional drop x in ``pass_s``
     for which the fitted peak stays within the bound.  A run is time-bounded,
@@ -165,8 +172,14 @@ def rss_fit(pairs: list[dict], bound: float | None = None) -> dict | None:
         attempted, [run["metrics"]["peak_rss_mb"] for run in runs]
     )
     fit = {"mb_per_1000_requests": 1000 * slope, "intercept_mb": intercept, "runs": len(runs)}
+    requests = statistics.median(pair["base"]["attempted"] for pair in pairs)
+    fit["requests"] = requests
+    for side in ("base", "head"):
+        fit[f"{side}_peak_at_requests"] = spread([
+            pair[side]["metrics"]["peak_rss_mb"] - slope * (pair[side]["attempted"] - requests)
+            for pair in pairs
+        ])
     if bound is not None:
-        requests = statistics.median(pair["base"]["attempted"] for pair in pairs)
         room = bound * (intercept + slope * requests)
         fit["max_pass_gain"] = 1.0 if slope <= 0 else room / (room + slope * requests)
     return fit
