@@ -8,10 +8,12 @@ same rows rewritten in the basis {1, alpha} give a 2(delta-1)-row parity
 matrix over GF(q) whose right kernel is the code.  Its entries depend only on
 (h+r)*i mod q+1, so they are gathered from the field's ``unit_coords``.
 
-g is built from closed-form minimal polynomials (trace and norm) multiplied
-as Poly objects, with scalar exp/log lookups and digit-wise addition.  It is
-checked by evaluating it at every root with ``FieldContext.sums_vanish``,
-which sums the terms as base-p digit vectors and uses no Zech logarithm.
+g is built as compact labels over GF(q).  beta^e lies on U_(q+1), so its
+norm is 1 and its minimal polynomial is x^2 - Tr(beta^e)*x + 1, or x - beta^e
+when beta^e = +-1; the trace is read from ``unit_coords`` and the factors are
+multiplied on the subfield tables.  g is checked by evaluating it at every
+root with ``FieldContext.sums_vanish``, which sums the terms as base-p digit
+vectors and reads neither those tables nor ``unit_coords``.
 
 The dual code admits a second description: the words
 (Tr(a*beta^(h*i) + b*beta^((h+1)*i)))_i for (a, b) in GF(q^2)^2 (delta = 3).
@@ -24,14 +26,14 @@ matrix is the other view; both are exposed so they can be cross-checked.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cosets, gflin
 from .field import FieldContext
-from .polynomial import Poly, minimal_polynomial
+# minimal_polynomial is unused here; the benchmark traces it as bch.minimal_polynomial
+from .polynomial import TAG_Q, Poly, minimal_polynomial  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +44,7 @@ class BchCode:
     n: int
     delta: int
     h: int
-    g: Poly
+    compact_g: np.ndarray  # the coefficients of g as compact labels, lowest degree first
     k: int
 
     @property
@@ -59,12 +61,11 @@ class BchCode:
         return mat
 
     @functools.cached_property
-    def compact_g(self) -> np.ndarray:
-        """The coefficients of g as compact labels, lowest degree first,
-        converted on first use and kept read-only."""
-        labels = self.ctx.to_compact(np.array(self.g.coeffs, dtype=np.int64))
-        labels.flags.writeable = False
-        return labels
+    def g(self) -> Poly:
+        """g as a Poly over the embedded GF(q), a view of ``compact_g`` through
+        ``from_compact``, formed on first use; no kernel reads it."""
+        coeffs = self.ctx.from_compact(self.compact_g).tolist()
+        return Poly(self.ctx, TAG_Q, tuple(coeffs))
 
     def __repr__(self) -> str:
         return (
@@ -77,15 +78,17 @@ def build_bch(ctx: FieldContext, delta: int = 3, h: int = 0) -> BchCode:
     """Construct the code from its generator polynomial.
 
     g is the product of the distinct minimal polynomials of beta^h, ...,
-    beta^(h+delta-2), one per cyclotomic coset; distinct minimal polynomials
-    are distinct monic irreducibles, so the product is their lcm.
-    Requires 0 <= h <= q and 2 <= delta <= n.
+    beta^(h+delta-2), one per cyclotomic coset (``_factor_labels``); distinct
+    minimal polynomials are distinct monic irreducibles, so the product is
+    their lcm.  It is formed as compact labels, the stored and read-only
+    ``compact_g``.  Requires 0 <= h <= q and 2 <= delta <= n.
 
     g is then checked against its defining set D, the union of those cosets:
     monic, of degree |D| and zero at every beta^e, e in D, it equals the
     product of (x - beta^e) over D and so divides x^n - 1.  The check forms
-    every term g_k * beta^(e*k) at once and sums each root's terms as digit
-    vectors mod p, arithmetic the closed forms and the product do not use.
+    every term g_k * beta^(e*k) at once from ``exp`` and ``log`` and sums each
+    root's terms as digit vectors mod p, arithmetic the factors and their
+    product do not use.
     """
     n = ctx.q + 1
     if not 0 <= h <= ctx.q:
@@ -96,13 +99,44 @@ def build_bch(ctx: FieldContext, delta: int = 3, h: int = 0) -> BchCode:
     for r in range(delta - 1):
         coset = cosets.coset_of((h + r) % n, n, ctx.q)
         members[coset.leader] = coset.members
-    g = functools.reduce(operator.mul, [minimal_polynomial(ctx, e, n) for e in members])
+    factors = [_factor_labels(ctx, m) for m in members.values()]
+    labels = functools.reduce(functools.partial(_mul_labels, ctx), factors)
     root_logs = (ctx.q - 1) * np.array([e for m in members.values() for e in m], dtype=np.int64)
-    lg = ctx.log[np.array(g.coeffs, dtype=np.int64)]
+    coeffs = ctx.from_compact(labels)
+    lg = ctx.log[coeffs]
     terms = np.where(lg < 0, -1, lg + root_logs[:, None] * np.arange(len(lg)))
-    if g.leading != 1 or g.degree != len(root_logs) or not ctx.sums_vanish(terms):
+    if coeffs[-1] != 1 or len(coeffs) - 1 != len(root_logs) or not ctx.sums_vanish(terms):
         raise AssertionError("generator is not the product of x - beta^e over its defining set")
-    return BchCode(ctx=ctx, n=n, delta=delta, h=h, g=g, k=n - g.degree)
+    labels.flags.writeable = False
+    return BchCode(ctx=ctx, n=n, delta=delta, h=h, compact_g=labels, k=n - len(root_logs))
+
+
+def _factor_labels(ctx: FieldContext, members: tuple[int, ...]) -> np.ndarray:
+    """Compact labels, lowest degree first, of the minimal polynomial over
+    GF(q) of beta^e for the cyclotomic coset ``members`` of e mod q+1.
+
+    Under x -> x^q the coset of e is {e, -e}.  For a coset of two, beta^e has
+    the conjugate beta^(-e) and norm 1, so the factor is x^2 - Tr(beta^e)*x + 1.
+    With beta^e = c0 + c1*alpha and alpha^q = Tr(alpha) - alpha, the
+    conjugate's 1-coordinate is c0 + c1*Tr(alpha), so the c0 of beta^e and of
+    beta^(-e) sum to Tr(beta^e).  A coset of one has beta^e = +-1 in GF(q):
+    c1 = 0 and the factor is x - c0.
+    """
+    c0 = ctx.unit_coords[0]
+    if len(members) == 1:
+        return np.array([ctx.neg_table[c0[members[0]]], 1], dtype=np.int16)
+    e, f = members
+    return np.array([1, ctx.neg_table[ctx.add_table[c0[e], c0[f]]], 1], dtype=np.int16)
+
+
+def _mul_labels(ctx: FieldContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two compact-label polynomials, on the subfield tables."""
+    add, mul = ctx.add_table, ctx.mul_table
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a.tolist()):
+        for j, y in enumerate(b.tolist()):
+            out[i + j] = add[out[i + j], mul[x, y]]
+    return np.array(out, dtype=np.int16)
 
 
 def _parity_exponents(code: BchCode) -> np.ndarray:
@@ -168,10 +202,13 @@ def dual_codeword(code: BchCode, a: int, b: int) -> DualCodeword:
     (Tr a, Tr a*alpha, Tr b, Tr b*alpha) times the four rows of the expanded
     parity matrix, (c0, c1) of beta^(hi) then of beta^((h+1)i): with
     beta^e = c0 + c1*alpha, c0, c1 in GF(q), Tr(a*beta^e) = c0*Tr(a) + c1*Tr(a*alpha).
+    a and b are element indices in [0, q^2); ValueError otherwise.
     """
     if code.delta != 3:
         raise ValueError("trace representation applies to delta = 3")
     ctx = code.ctx
+    if not (0 <= a < ctx.q2 and 0 <= b < ctx.q2):
+        raise ValueError(f"(a, b) = ({a}, {b}) outside [0, {ctx.q2})^2")
     scalars = (a, ctx.mul(a, ctx.alpha), b, ctx.mul(b, ctx.alpha))
     traces = ctx.to_compact([ctx.trace(x) for x in scalars])
     word = gflin.combine_rows(ctx, traces, expanded_parity_matrix(code))

@@ -309,6 +309,9 @@ class FieldContext:
     # -- scalar arithmetic ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        """a + b on element indices; ValueError on an index outside [0, q^2)."""
+        if not (0 <= a < self.q2 and 0 <= b < self.q2):
+            raise ValueError(f"element index outside [0, {self.q2}): {a}, {b}")
         if self.p == 2:
             return a ^ b
         p = self.p

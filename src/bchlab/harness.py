@@ -564,7 +564,7 @@ def _dispatch(args: argparse.Namespace, opts: AnalyzeOptions) -> int:
             "n": code.n,
             "k": code.k,
             "k_dual": code.n - code.k,
-            "generator_degree": code.g.degree,
+            "generator_degree": len(code.compact_g) - 1,
             "generator_coeffs": code.compact_g.tolist(),
         }
         if args.delta == 3:

@@ -1,3 +1,10 @@
+import dataclasses
+import functools
+import operator
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -129,10 +136,10 @@ def test_parity_matrix_is_read_only_and_formed_once_per_analyze(monkeypatch):
 
 
 def test_compact_generator_is_read_only_and_converted_once(monkeypatch):
-    # generator_matrix and the dual-witness check read one label array of g
+    # g is stored as labels: building, verifying and generator_matrix convert
+    # nothing, and the Poly view of g is formed once, on first read
     ctx = build_field(3, 2)
-    code = build_bch(ctx, 3, 2)
-    res = distance.dual_min_distance(code, "root-count")
+    res = distance.dual_min_distance(build_bch(ctx, 3, 2), "root-count")
     converted = []
     to_compact = FieldContext.to_compact
 
@@ -141,16 +148,62 @@ def test_compact_generator_is_read_only_and_converted_once(monkeypatch):
         return to_compact(self, arr)
 
     monkeypatch.setattr(FieldContext, "to_compact", spy)
+    code = build_bch(ctx, 3, 2)
     for _ in range(2):
         assert distance.verify_witness(code, res)
         gen = generator_matrix(code)
-    assert converted == [len(code.g.coeffs)]
+    assert converted == []
     labels = code.compact_g
-    assert labels.tolist() == to_compact(ctx, code.g.coeffs).tolist()
     assert gen[0, : len(labels)].tolist() == labels.tolist()
     assert not labels.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         labels[0] = 1
+    g = code.g
+    assert code.g is g
+    assert g.coeffs == tuple(ctx.from_compact(labels).tolist())
+    assert g == Poly.make(ctx, "q", g.coeffs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.coeffs = ()
+
+
+def test_build_bch_makes_no_scalar_field_call(monkeypatch):
+    # every factor of g comes from unit_coords and the subfield tables
+    fields = [build_field(2, 3), build_field(3, 2), build_field(5, 2)]
+    for ctx in fields:
+        build_bch(ctx, 3, 1)  # forms the tables outside the spy
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ["add", "mul", "pow", "exp_at", "neg", "frobenius"]:
+        monkeypatch.setattr(FieldContext, name, spy(name, getattr(FieldContext, name)))
+    monkeypatch.setattr(Poly, "__mul__", spy("Poly.__mul__", Poly.__mul__))
+    for ctx in fields:
+        for h in range(ctx.q + 1):
+            build_bch(ctx, 3, h)
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,s", [(13, 2), (3, 5), (2, 8), (2, 10)])
+def test_compact_generator_matches_minimal_polynomial_product(p, s):
+    # q = 169, 243, 256, 1024: the labels equal those of the product of the
+    # closed-form minimal polynomials, at offsets spread over [0, q]
+    ctx = build_field(p, s)
+    n = ctx.q + 1
+    rng = np.random.default_rng(q := ctx.q)
+    offsets = {0, q // 2, (q - 1) // 2, (q + 1) // 2, q, *rng.integers(0, n, size=12).tolist()}
+    for h in sorted(offsets):
+        leaders = {cosets.coset_of((h + r) % n, n, q).leader for r in range(2)}
+        product = functools.reduce(
+            operator.mul, [minimal_polynomial(ctx, e, n) for e in leaders]
+        )
+        expected = ctx.to_compact(np.array(product.coeffs, dtype=np.int64))
+        assert build_bch(ctx, 3, h).compact_g.tolist() == expected.tolist(), h
 
 
 def test_kernel_of_expanded_equals_code():
@@ -275,21 +328,61 @@ def test_build_bch_rejects_wrong_generator(monkeypatch, p, s, h, mutation):
     # roots but doubles a factor; a scalar multiple keeps roots and degree
     ctx = build_field(p, s)
     n = ctx.q + 1
-    leader = cosets.coset_of(h, n, ctx.q).leader
-    wrong = _wrong_coset(ctx, h)
+    coset = cosets.coset_of(h, n, ctx.q).members
+    wrong = cosets.coset_of(_wrong_coset(ctx, h), n, ctx.q).members
+    factor_labels = bch._factor_labels
 
-    def patched(ctx_, e, n_):
-        m = minimal_polynomial(ctx_, e, n_)
-        if e != leader:
+    def patched(ctx_, members):
+        m = factor_labels(ctx_, members)
+        if members != coset:
             return m
         if mutation == "wrong-coset":
-            return minimal_polynomial(ctx_, wrong, n_)
+            return factor_labels(ctx_, wrong)
         if mutation == "squared":
-            return m * m
-        return m.scale(int(ctx.sub_sorted[2]))
+            return bch._mul_labels(ctx_, m, m)
+        return ctx.mul_table[2, m]
 
     build_bch(ctx, 3, h)
-    monkeypatch.setattr(bch, "minimal_polynomial", patched)
+    monkeypatch.setattr(bch, "_factor_labels", patched)
     with pytest.raises(AssertionError, match="defining set"):
         build_bch(ctx, 3, h)
 
+
+def test_add_rejects_an_index_outside_the_field():
+    for p, s in [(2, 2), (3, 2)]:
+        ctx = build_field(p, s)
+        for a, b in [(ctx.q2, 0), (0, ctx.q2), (-1, 3)] if p == 2 else [(ctx.q2, 0), (0, ctx.q2)]:
+            with pytest.raises(ValueError, match="outside"):
+                ctx.add(a, b)
+
+
+@pytest.mark.parametrize("call", ["ctx.add(-1, 3)", "ctx.add(3, -1)", "dual_codeword(code, -1, 0)"])
+def test_negative_index_raises_rather_than_hangs_at_odd_p(call):
+    # at odd p a negative operand once kept add's digit loop at -1 for ever,
+    # so the call runs in a child with a timeout
+    script = (
+        "from bchlab import build_field, build_bch\n"
+        "from bchlab.bch import dual_codeword\n"
+        "ctx = build_field(3, 2)\n"
+        "code = build_bch(ctx, 3, 1)\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ValueError:\n"
+        "    print('ValueError')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert out.stdout.strip() == "ValueError", out.stderr
+
+
+@pytest.mark.parametrize("p,s", [(2, 3), (3, 2)])
+def test_dual_codeword_rejects_a_pair_outside_the_field(p, s):
+    # at p = 2, a = -1 once built a word from log[-1]; a = q^2 raised IndexError
+    ctx = build_field(p, s)
+    code = build_bch(ctx, 3, 1)
+    pairs = [(ctx.q2, 0), (0, ctx.q2)] + ([(-1, 0), (0, -1)] if p == 2 else [])
+    for a, b in pairs:
+        with pytest.raises(ValueError, match="outside"):
+            dual_codeword(code, a, b)

@@ -2,6 +2,7 @@
 verdict, and what SIGTERM leaves behind."""
 
 import importlib.util
+import json
 import os
 import signal
 import subprocess
@@ -244,3 +245,31 @@ def test_sigterm_stops_the_run_and_removes_the_trees(tmp_path):
         tool.wait()
         if child is not None and _alive(child):
             os.kill(child, signal.SIGKILL)
+
+
+def test_out_keeps_the_workloads_finished_before_a_failure(monkeypatch, tmp_path):
+    # the second workload's run raises: --out still holds the first workload
+    def export(rev, dest):
+        dest.mkdir()
+        (dest / "BENCHMARK.json").write_text(
+            '{"run_seconds": 1, "end_to_end": [{"name": "pass_s", "better": "lower",'
+            ' "bound": 0.25}], "per_layer": []}'
+        )
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        if workload == "second":
+            raise RuntimeError(f"{checkout.name} {workload} seed {seed} failed")
+        return {"attempted": 10, "failed": 0, "metrics": {"pass_s": 1.0 + seed}}
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0")
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "out.json"
+    argv = ["--workload", "first", "--workload", "second", "--seeds", "1-2", "--out", str(out)]
+    with pytest.raises(RuntimeError, match="second"):
+        bench_pairs.main(argv)
+    doc = json.loads(out.read_text())
+    assert list(doc["workloads"]) == ["first"]
+    assert len(doc["workloads"]["first"]["runs"]) == 2
+    assert doc["workloads"]["first"]["metrics"]["pass_s"]["head_won"] == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

@@ -23,8 +23,9 @@ attempted, over every run of both sides, since ``perfbench/run.py`` keeps
 every pass's records and a faster side's peak rises with its request count;
 its ``max_pass_gain`` is the largest drop in ``pass_s`` for which that fit
 keeps ``peak_rss_mb`` within its bound, and each side's peaks are also read
-along it at the base's median request count.
-Standard library only.
+along it at the base's median request count.  ``--out`` is rewritten after
+each workload finishes, so a run stopped or failed on a later workload keeps
+the earlier ones.  Standard library only.
 """
 
 from __future__ import annotations
@@ -255,8 +256,16 @@ def main(argv: list[str] | None = None) -> int:
                 "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in sides},
                 "runs": pairs,
             }
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+            write_json(Path(args.out), doc)
     return 0
+
+
+def write_json(path: Path, doc: dict) -> None:
+    """Write ``doc`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``, so the file is never left half written."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(doc, indent=1) + "\n")
+    os.replace(tmp, path)
 
 
 if __name__ == "__main__":
