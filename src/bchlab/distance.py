@@ -50,13 +50,9 @@ from .field import FieldContext
 EXHAUSTIVE_CAP = 1 << 26
 
 _BLOCK_ROWS = 1 << 19
-# stream rows in the first column-search block: lo = -1, 0 and 1, that is
-# w = 2, w = 3 and w = 4 through columns 0 and 1, which hold every d <= 4
-# witness with q <= 64
-_FIRST_ROWS = 3
-# reduced cells (rows x matrix rows x columns) per later column-search block:
-# each block holds twice the cells of the one before, up to _COLLISION_CELLS
-# (a few MB)
+# reduced cells (rows x matrix rows x columns) per coset block of column
+# search: each block holds twice the cells of the one before, up to
+# _COLLISION_CELLS (a few MB)
 _COLLISION_CELLS = 1 << 18
 # histogram cells (2(q+1) per row) per root-count block: 96 KiB of int64
 # bins, and half that for the lane differences and the root counts, so that
@@ -217,43 +213,37 @@ def _relation(ctx: FieldContext, r_mat: np.ndarray, cols: tuple) -> tuple:
     return ((a, b) if len(cols) == 4 else (a,)) + (c, int(neg[1]))
 
 
-def _row_keys(ctx: FieldContext, r_mat: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """(len(js), n) keys of the rows named by the ascending ``js``.
+def _first_block_keys(ctx: FieldContext, r_mat: np.ndarray, los: np.ndarray) -> np.ndarray:
+    """(len(los), n) keys of the first-block rows lo = -1, 0, 1 in ``los``.
 
-    Row j <= 1 is R with rows 0 .. j cleared, keyed by its columns' words
-    masked to rows j + 1 .. (``_column_words``): the columns of R (j = -1),
-    R modulo column 0, which is e_0 (j = 0), and R modulo columns 0 and 1
-    (j = 1), since column 1 is e_1 when it is independent of column 0.  When
+    Row lo is R with rows 0 .. lo cleared, keyed by its columns' words masked
+    to rows lo + 1 .. (``_column_words``): the columns of R (lo = -1), R
+    modulo column 0, which is e_0 (lo = 0), and R modulo columns 0 and 1
+    (lo = 1), since column 1 is e_1 when it is independent of column 0.  When
     it is not, the two are equal up to a factor, and row -1, which comes
-    first, collides.  Row j >= 2 is R[1:] modulo column j, keyed by points
-    of P^1(GF(q)) (``_p1_keys``).
+    first, collides.
     """
-    heads, tail = js[js <= 1], js[js > 1]
-    keys = []
-    if heads.size:
-        bits = max(1, (ctx.q - 1).bit_length())
-        masks = np.left_shift(1, 1 + bits * (len(r_mat) - 2 - heads)) - 1
-        keys.append(_column_words(ctx, r_mat, bits) & masks[:, None])
-    if tail.size:
-        keys.append(_p1_keys(ctx, r_mat[1:], tail))
-    return keys[0] if len(keys) == 1 else np.concatenate(keys)
+    bits = max(1, (ctx.q - 1).bit_length())
+    masks = np.left_shift(1, 1 + bits * (len(r_mat) - 2 - los)) - 1
+    return _column_words(ctx, r_mat, bits) & masks[:, None]
 
 
-def _walk(
-    ctx: FieldContext, r_mat: np.ndarray, js: np.ndarray, lo: np.ndarray, cells: int
-) -> tuple | None:
-    """First collision (j, k, l) with lo < k < l over the rows ``js`` in
-    order (``_first_collision``), walked in blocks of about ``cells`` reduced
-    cells that double up to _COLLISION_CELLS; None if no row has one."""
+def _walk(ctx: FieldContext, r_mat: np.ndarray, js: np.ndarray, cells: int) -> tuple | None:
+    """First collision (j, k, l) with 0 < k < l over the full rows j in
+    ``js``, in order: every column of R[1:] modulo column j, keyed by its
+    point of P^1(GF(q)) (``_p1_keys``).  Walked in blocks of about ``cells``
+    reduced cells that double up to _COLLISION_CELLS, each searched for its
+    first collision over all its rows at once (``_first_collision``); None
+    if no row has one."""
     rows, n = r_mat.shape
     start = 0
     while start < len(js):
-        stop = start + max(1, cells // (rows * n))
-        found = _first_collision(_row_keys(ctx, r_mat, js[start:stop]), lo[start:stop])
+        block = js[start : start + max(1, cells // (rows * n))]
+        found = _first_collision(_p1_keys(ctx, r_mat[1:], block), np.zeros_like(block))
         if found:
             b, k, l = found
-            return int(js[start + b]), k, l
-        start, cells = stop, min(2 * cells, _COLLISION_CELLS)
+            return int(block[b]), k, l
+        start, cells = start + len(block), min(2 * cells, _COLLISION_CELLS)
     return None
 
 
@@ -273,41 +263,34 @@ def _lex_first_dependent(ctx: FieldContext, r_mat: np.ndarray, top: int) -> tupl
     has a shift that contains column 0, and the lex-first one starts at 0.
     From w = 3 on only the sets through column 0 are therefore scanned.
 
-    A row of the stream holds the independent columns P of a candidate set
-    and a lower bound lo: P + (k, l) with lo < k < l is dependent iff the
-    images of columns k and l modulo span(P) are nonzero multiples of each
-    other.  There are three kinds of row, each named by its lo:
+    A row holds the independent columns P of a candidate set and a lower
+    bound lo: P + (k, l) with lo < k < l is dependent iff the images of
+    columns k and l modulo span(P) are nonzero multiples of each other.  The
+    first block is three rows, each named by its lo and cut at level ``top``:
 
     * lo = -1, P = (): the columns of R (w = 2);
     * lo = 0, P = (0,): R with row 0 cleared, since column 0 is e_0 (w = 3);
-    * lo = j = 1 .. n - 3, P = (0, j): the rows R1 = R[1:] modulo column j,
-      each column keyed by its point of P^1(GF(q)) (``_p1_keys``; w = 4).
+    * lo = 1, P = (0, 1): R with rows 0 and 1 cleared (w = 4).
 
-    The first two kinds, and row j = 1, are keyed by one packed word per
-    column of R, masked to the rows that the row keeps (``_row_keys``).
-    The stream is cut at level ``top``.  Its first _FIRST_ROWS rows,
-    lo = -1, 0 and 1, are one block; the rows after them are walked in
-    blocks of cells that double, each block searched for its first
-    collision over all its rows at once (``_walk``).
-
-    The first collision in stream order is the answer.  Let d be the
+    They are keyed by one packed word per column of R, masked to the rows
+    that the row keeps (``_first_block_keys``), and searched at once for
+    their first collision in that order (``_first_collision``).  Let d be the
     smallest size of a dependent set.  A row of level w <= d has a prefix of
     w - 2 < d columns, which is independent, so its collisions are exactly
-    its dependent sets; rows of level w < d therefore have none.  (At w = 4
-    the zero images are then columns 0 and j only, both at most lo.)  A row
-    of level w > d may have a dependent prefix and report a false collision,
-    but it comes after every row of level d, and when d <= top some row of
-    level d holds the lex-first dependent set.  Its relation is read off R
-    (``_relation``), scaled so that the last coefficient is -1.
+    its dependent sets, and rows of level w < d have none.  (At w = 4 the
+    zero images are then columns 0 and 1 only, both at most lo.)  So when
+    d <= 3 the first collision is the lex-first dependent set of size d,
+    and so it is when d = 4 and that set holds column 1.  Its relation is
+    read off R (``_relation``), scaled so that the last coefficient is -1.
 
-    When the first block has no collision and the stream goes on to the
-    w = 4 rows, d >= 4 and the rank is 4.  Before the rest of the stream, the
-    w = 4 level is then cleared on one row j per p-cyclotomic coset of Z_n,
-    each a full row: every column modulo columns 0 and j, with lo = 0 (as
-    d >= 4, only columns 0 and j have zero images).  A full row j collides
-    iff some {0, j, k, l} is dependent, that is iff j lies in the set J of
-    the j that share the support of a weight-4 codeword with 0.  J is a
-    union of p-cyclotomic cosets:
+    When the first block has no collision and top >= 4, d >= 4 and the rank
+    is 4.  The w = 4 level is then walked on full rows j: every column
+    modulo columns 0 and j, with lo = 0, keyed by its point of P^1(GF(q))
+    (``_walk``).  As d >= 4, only columns 0 and j have zero images, and
+    column j is the only one past lo = 0 with its key, so a full row j
+    collides iff some {0, j, k, l} is dependent, that is iff j lies in the
+    set J of the j that share the support of a weight-4 codeword with 0.
+    J is a union of p-cyclotomic cosets of Z_n:
 
     * The row space absorbs the shift, so the code, its orthogonal
       complement, is a cyclic code of length n = q + 1 over GF(q).  Its zeros
@@ -321,28 +304,31 @@ def _lex_first_dependent(ctx: FieldContext, r_mat: np.ndarray, top: int) -> tupl
       generate the p-cyclotomic coset of j.  Both follow from the shift
       check, so neither is checked on its own.
 
-    A coset whose leader is at most the first block's last lo is skipped:
-    stream rows -1 .. lo hold every dependent {0, a, b, c} with a <= lo,
-    whichever of a, b, c is j.  When no coset row collides, J is empty and
-    d >= 5.  Otherwise the stream goes on from the row after the first
-    block, so every witness is the one the whole stream gives.
+    So only one full row per coset is walked, its leader, the smallest
+    member, in ascending order; the cosets of 0 and 1 are skipped, since
+    row 1 found nothing.  When no leader collides, J is empty and d >= 5.
+    Otherwise the first leader that collides is j* = min J, since J is a
+    union of cosets.  Its first collision (k, l) lies in a dependent
+    {0, j*, k, l}, so k and l lie in J and exceed j*: reading row j* with
+    lo = 0 or with lo = j* selects the same (k, l).  A set {0, j, k, l}
+    with 1 < j < j* would put j in J, and none holds column 1, so
+    (0, j*, k, l) is the lex-first dependent set of size 4.
     """
     rows, n = r_mat.shape
-    lo = np.arange(-1, n - 2)
-    lo = lo[np.minimum(lo, 1) + 3 <= top]  # level w = 2, 3, 4 by kind
-    head, tail = lo[:_FIRST_ROWS], lo[_FIRST_ROWS:]
-    found = _walk(ctx, r_mat, head, head, len(head) * rows * n)
-    later = min(2 * len(head) * rows * n, _COLLISION_CELLS)
-    if found is None and tail.size:
-        if tail[0] > 0:  # levels 2 and 3 cleared: d >= 4
-            leaders = cosets.coset_leaders(n, ctx.p)
-            leaders = leaders[leaders > head[-1]]
-            if _walk(ctx, r_mat, leaders, np.zeros_like(leaders), later) is None:
-                return None
-        found = _walk(ctx, r_mat, tail, tail, later)
-    if found is None:
+    los = np.arange(-1, min(top - 2, 2))  # w = 2, 3 and 4 up to level top
+    found = _first_collision(_first_block_keys(ctx, r_mat, los), los)
+    if found:
+        b, k, l = found
+        j = int(los[b])
+    elif top >= 4:
+        leaders = cosets.coset_leaders(n, ctx.p)
+        # the first coset block holds twice the cells of the three-row first block
+        found = _walk(ctx, r_mat, leaders[leaders > 1], min(6 * rows * n, _COLLISION_CELLS))
+        if found is None:
+            return None
+        j, k, l = found
+    else:
         return None
-    j, k, l = found
     cols = (() if j < 0 else (0,) if j == 0 else (0, j)) + (k, l)
     return cols, _relation(ctx, r_mat, cols)
 
@@ -359,10 +345,11 @@ def min_distance_by_columns(code: bch.BchCode, w_max: int = 5) -> DistanceResult
     matrix that fails raises AssertionError before any row is keyed.  So
     from w = 3 on only the sets through column 0 are scanned, and clearing
     the w = 4 level of a d = 5 code takes O(n) rows and O(n^2) work, not
-    O(n^2) rows.  Levels 2 to min(rank, w_max) share one stream of rows
+    O(n^2) rows.  Levels 2 to min(rank, w_max) are searched on one first
+    block of rows and, for w = 4, one row per coset
     (``_lex_first_dependent``); past the rank every set is dependent.  A
     code with delta <= 3 has at most 4 parity rows over GF(q), so the
-    stream never passes level 4; delta >= 4 raises ValueError.  When every
+    search never passes level 4; delta >= 4 raises ValueError.  When every
     subset up to w_max is independent the result carries value None with
     searched_up_to = w_max.
     """

@@ -331,11 +331,16 @@ class FieldContext:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        """a * b on element indices; ValueError on an index outside [0, q^2)."""
+        if not 0 <= a < self.q2 > b >= 0:
+            raise ValueError(f"element index outside [0, {self.q2}): {a}, {b}")
         if a == 0 or b == 0:
             return 0
         return int(self.exp[(int(self.log[a]) + int(self.log[b])) % self.order])
 
     def inv(self, a: int) -> int:
+        if not 0 <= a < self.q2:
+            raise ValueError(f"element index outside [0, {self.q2}): {a}")
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
         return int(self.exp[(-int(self.log[a])) % self.order])
@@ -344,6 +349,8 @@ class FieldContext:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
+        if not 0 <= a < self.q2:
+            raise ValueError(f"element index outside [0, {self.q2}): {a}")
         if a == 0:
             if e == 0:
                 return 1

@@ -34,6 +34,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -361,16 +362,18 @@ def check_conjecture(
 # ---------------------------------------------------------------------------
 
 
-def _cell_type(hint) -> type:
-    """The type a report cell parses to: int for ``int | None``."""
-    return next(t for t in get_args(hint) or (hint,) if t is not type(None))
+def _cell_type(hint) -> tuple[type, bool]:
+    """The type a report cell parses to and whether it may be None:
+    (int, True) for ``int | None``."""
+    args = get_args(hint) or (hint,)
+    return next(t for t in args if t is not type(None)), type(None) in args
 
 
 _HINTS = get_type_hints(CodeRecord)
-# report column -> (CodeRecord attribute, cell type), in column order; the
-# attribute ``class_`` is the column ``class``
-_COLUMNS = {f.name.rstrip("_"): (f.name, _cell_type(_HINTS[f.name])) for f in fields(CodeRecord)}
-RECORD_FIELDS: list[tuple[str, type]] = [(name, typ) for name, (_, typ) in _COLUMNS.items()]
+# report column -> (CodeRecord attribute, cell type, None allowed), in column
+# order; the attribute ``class_`` is the column ``class``
+_COLUMNS = {f.name.rstrip("_"): (f.name, *_cell_type(_HINTS[f.name])) for f in fields(CodeRecord)}
+RECORD_FIELDS: list[tuple[str, type]] = [(name, typ) for name, (_, typ, _) in _COLUMNS.items()]
 
 
 def _field_names(stable: bool) -> list[str]:
@@ -388,14 +391,29 @@ def _to_cell(value) -> str:
     return str(value)
 
 
-def _from_cell(text: str, typ: type):
-    if text == "":
-        return None if typ is not str else ""
-    if typ is bool:
-        return text == "true"
-    if typ is int:
-        return int(text)
-    return text
+def _cell(name: str, value):
+    """``value`` if column ``name`` takes it: a value of the column's type,
+    int and bool kept apart, or None where the column allows it."""
+    _, typ, optional = _COLUMNS[name]
+    if type(value) is typ or (value is None and optional):
+        return value
+    raise ValueError(f"report column {name!r} takes {typ.__name__}, not {value!r}")
+
+
+def _from_cell(name: str, text: str):
+    """The value of a CSV cell of column ``name``: an empty cell is None
+    outside str columns, a bool is ``true`` or ``false`` and an int a
+    decimal integer."""
+    typ = _COLUMNS[name][1]
+    if text == "" and typ is not str:
+        value = None
+    elif typ is bool:
+        value = {"true": True, "false": False}.get(text, text)
+    elif typ is int and re.fullmatch(r"-?[0-9]+", text):
+        value = int(text)
+    else:
+        value = text
+    return _cell(name, value)
 
 
 def _row(rec: CodeRecord, names: list[str]) -> dict:
@@ -432,7 +450,7 @@ def csv_to_records(text: str) -> list[CodeRecord]:
     for name in header:
         _check_column(name)
     return [
-        _record((name, _from_cell(cell, _COLUMNS[name][1])) for name, cell in zip(header, row))
+        _record((name, _from_cell(name, cell)) for name, cell in zip(header, row))
         for row in reader
     ]
 
@@ -447,7 +465,7 @@ def json_to_records(text: str) -> list[CodeRecord]:
     for row in json.loads(text):
         for name in row:
             _check_column(name)
-        out.append(_record(row.items()))
+        out.append(_record((name, _cell(name, value)) for name, value in row.items()))
     return out
 
 

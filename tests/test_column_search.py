@@ -9,17 +9,19 @@ lex-first columns, coefficients and ``searched_up_to``).  The golden file
 the full lex scan gave it before the search was restricted to the sets
 through column 0.
 
-Column search reduces the parity matrix once, to R, and walks one stream of
-rows, each named by its lower bound lo: the columns of R (lo = -1, w = 2),
-R modulo column 0 (lo = 0, w = 3) and R modulo columns 0 and j, keyed by
-points of P^1(GF(q)) (lo = j, w = 4).  The first block is the rows
-lo = -1, 0 and 1; when it finds nothing, the w = 4 level is cleared on one
-full row per p-cyclotomic coset of Z_(q+1) before the rest of the stream.
-The tests below pin how the blocks cut that stream, which coset rows are
-keyed and that the rows that collide are a union of cosets, that the one
-reduction is the only elimination and carries the cyclic check, which
-rejects a matrix before any row is keyed, the keys and their packing into
-one word per column, and that codes with delta >= 4, whose search would
+Column search reduces the parity matrix once, to R, and asks three
+questions.  Its first block is three rows, each named by its lower bound lo:
+the columns of R (lo = -1, w = 2), R modulo column 0 (lo = 0, w = 3) and R
+modulo columns 0 and 1 (lo = 1, w = 4), keyed from one packed word per
+column.  When that block finds nothing and the rank is 4, the w = 4 level is
+walked on one full row per p-cyclotomic coset of Z_(q+1), leaders above 1 in
+ascending order, each column keyed by its point of P^1(GF(q)); the first
+collision there is the witness, and none means d = 5.  The tests below pin
+which rows are keyed and in what blocks, that the rows that collide are a
+union of cosets and that the first of them gives the reference witness, that
+the one reduction is the only elimination and carries the cyclic check,
+which rejects a matrix before any row is keyed, the keys and their packing
+into one word per column, and that codes with delta >= 4, whose search would
 pass level 4, are refused; delta = 2 and delta = 3 codes are compared with
 the reference, whose elimination is its own.
 """
@@ -27,6 +29,7 @@ the reference, whose elimination is its own.
 import functools
 import importlib.util
 import json
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +37,7 @@ import pytest
 
 from bchlab import bch, distance, gflin
 from bchlab.bch import build_bch, expanded_parity_matrix
-from bchlab.cosets import all_cosets
+from bchlab.cosets import all_cosets, coset_leaders
 from bchlab.distance import min_distance_by_columns, verify_witness
 from bchlab.field import build_field
 from bchlab.harness import prime_powers_upto
@@ -89,7 +92,7 @@ def test_matches_reference_delta3_every_offset():
 
 
 def test_matches_reference_delta2_every_offset():
-    # two parity rows: the stream holds the columns themselves (w = 2) and
+    # two parity rows: the first block is the columns themselves (w = 2) and
     # the w = 3 level comes from the w > rank shortcut
     checked = 0
     for code in codes(9, 2):
@@ -100,7 +103,7 @@ def test_matches_reference_delta2_every_offset():
 
 @pytest.mark.parametrize("delta", [4, 5])
 def test_larger_delta_rejected(monkeypatch, delta):
-    # the stream stops at level 4: a code with 6 or more parity rows is
+    # the search stops at level 4: a code with 6 or more parity rows is
     # refused before its matrix is built
     monkeypatch.setattr(bch, "expanded_parity_matrix", None)
     code = build_bch(build_field(3, 2), delta, 1)
@@ -161,7 +164,8 @@ def test_non_cyclic_matrix_rejected(monkeypatch):
     perm = list(range(code.n))
     perm[1], perm[2] = perm[2], perm[1]
     monkeypatch.setattr(bch, "expanded_parity_matrix", lambda code: mat[:, perm])
-    monkeypatch.setattr(distance, "_row_keys", None)
+    monkeypatch.setattr(distance, "_first_block_keys", None)
+    monkeypatch.setattr(distance, "_p1_keys", None)
     with pytest.raises(AssertionError, match="cyclic shift"):
         min_distance_by_columns(code)
 
@@ -195,7 +199,8 @@ def test_shift_residual_off_the_pivots_rejected(monkeypatch):
     assert piv == [0, 1, 2, 3]
     assert np.flatnonzero(residual.any(axis=0)).tolist() == [c]
     monkeypatch.setattr(bch, "expanded_parity_matrix", lambda code: mat)
-    monkeypatch.setattr(distance, "_row_keys", None)
+    monkeypatch.setattr(distance, "_first_block_keys", None)
+    monkeypatch.setattr(distance, "_p1_keys", None)
     with pytest.raises(AssertionError, match="cyclic shift"):
         min_distance_by_columns(code)
 
@@ -217,61 +222,44 @@ def test_degenerate_offsets_pass_the_shift_check():
 
 
 def _spy_blocks(monkeypatch):
-    """Record every block the search keys, as (js, lo) lists, in order."""
+    """Record every block the search keys, as (js, lo) lists, in order: the
+    first block's rows by their lo, a coset block's full rows by their j."""
     blocks = []
-    row_keys, first_collision = distance._row_keys, distance._first_collision
+    first_block_keys, p1_keys = distance._first_block_keys, distance._p1_keys
+    first_collision = distance._first_collision
 
-    def spy_keys(ctx, r_mat, js):
+    def spy_first_block(ctx, r_mat, los):
+        blocks.append([[int(j) for j in los]])
+        return first_block_keys(ctx, r_mat, los)
+
+    def spy_p1(ctx, r1, js):
         blocks.append([[int(j) for j in js]])
-        return row_keys(ctx, r_mat, js)
+        return p1_keys(ctx, r1, js)
 
     def spy_collision(keys, lo):
         assert keys.shape[0] == len(lo) == len(blocks[-1][0])
         blocks[-1].append([int(j) for j in lo])
         return first_collision(keys, lo)
 
-    monkeypatch.setattr(distance, "_row_keys", spy_keys)
+    monkeypatch.setattr(distance, "_first_block_keys", spy_first_block)
+    monkeypatch.setattr(distance, "_p1_keys", spy_p1)
     monkeypatch.setattr(distance, "_first_collision", spy_collision)
     return blocks
 
 
-def _stream_and_coset_rows(blocks):
-    # a stream block names its rows by their lo; a coset block keys full rows
-    # (lo = 0) named by their j >= 1
-    stream = [j for js, lo in blocks if js == lo for j in js]
+def _first_block_and_coset_rows(blocks):
+    # the first block names its rows by their lo; a coset block keys full
+    # rows (lo = 0) named by their j > 1
+    first = [j for js, lo in blocks if js == lo for j in js]
     full = [j for js, lo in blocks if js != lo for j in js]
     assert all(lo == [0] * len(js) for js, lo in blocks if js != lo)
-    return stream, full
-
-
-@pytest.mark.parametrize("start, cap", [(1, 1), (100, 300)])
-def test_small_blocks_match_reference(monkeypatch, start, cap):
-    # a first block of ``start`` stream rows and later blocks of at most
-    # ``cap`` cells.  (1, 1): the first block is the w = 2 row alone, and
-    # every later row, the w = 3 row first, is a block of its own; the w = 4
-    # level is not yet known to be the first, so no coset row is keyed.
-    # (100, 300): the first block is the whole stream of every code with
-    # q <= 16.
-    monkeypatch.setattr(distance, "_FIRST_ROWS", start)
-    monkeypatch.setattr(distance, "_COLLISION_CELLS", cap)
-    blocks = _spy_blocks(monkeypatch)
-    for code in codes(16, 3):
-        first = len(blocks)
-        assert_matches_reference(code)
-        stream, full = _stream_and_coset_rows(blocks[first:])
-        # the blocks walk the stream -1, 0, 1, 2, ... in order
-        assert stream == list(range(-1, len(stream) - 1))
-        assert not full
-        if cap == 1:
-            assert {len(js) for js, _ in blocks[first:]} == {1}
-        else:
-            assert len(blocks) == first + 1
+    return first, full
 
 
 def test_first_block_holds_one_prefix_at_q1024(monkeypatch):
-    # the witness of this d = 4 code sits on the third row of the stream,
-    # lo = 1 (the columns modulo columns 0 and 1), which the first block
-    # ends with: that block, rows -1, 0 and 1, is the only one, and R with
+    # the witness of this d = 4 code sits on the third row of the first
+    # block, lo = 1 (the columns modulo columns 0 and 1): that block, rows
+    # -1, 0 and 1, is the only one, and R with
     # rows 0 and 1 cleared keys it, so no column is keyed by its P^1 point
     blocks = _spy_blocks(monkeypatch)
     monkeypatch.setattr(distance, "_p1_keys", None)
@@ -297,39 +285,69 @@ def test_one_block_unless_d5(monkeypatch):
             assert len(mine) == 1, (code.ctx.q, code.h, res.value)
             continue
         d5 += 1
-        stream, full = _stream_and_coset_rows(mine)
-        assert stream == [-1, 0, 1]
+        first_rows, full = _first_block_and_coset_rows(mine)
+        assert first_rows == [-1, 0, 1]
         leaders = [c.leader for c in all_cosets(code.n, code.ctx.p)]
         assert full == [j for j in leaders if j > 1]
     assert d5 == 18
 
 
-def test_two_row_first_block_matches_reference(monkeypatch):
-    # with the w = 4 row j = 1 out of the first block, every code with
-    # d >= 4 takes the coset rows, the coset of 1 among them, and a d = 4
-    # code then the stream from j = 1 on, in blocks of about two rows
-    monkeypatch.setattr(distance, "_FIRST_ROWS", 2)
-    monkeypatch.setattr(distance, "_COLLISION_CELLS", 300)
+def test_one_coset_row_per_block_matches_reference(monkeypatch):
+    # with blocks of one cell, every d = 5 code with q <= 32 keys its coset
+    # rows one per block, the leaders above 1 in ascending order (none at
+    # q = 4, where 1 leads every nonzero coset), after the one first block,
+    # and its result is the reference's
+    monkeypatch.setattr(distance, "_COLLISION_CELLS", 1)
     blocks = _spy_blocks(monkeypatch)
-    d4 = 0
+    d5 = 0
     for code in codes(32, 3):
         first = len(blocks)
+        res = min_distance_by_columns(code)
+        mine = blocks[first:]
+        if res.value != 5:
+            assert len(mine) == 1  # the first block alone
+            continue
         assert_matches_reference(code)
-        stream, full = _stream_and_coset_rows(blocks[first:])
-        value = min_distance_by_columns(code).value
-        if full:
-            # the stream goes on past the first block iff a coset row collides
-            assert full[0] == 1 and value in (4, 5)
-            assert (len(stream) > 2) == (value == 4)
-            d4 += value == 4
-    assert d4 == 152
+        first_rows, full = _first_block_and_coset_rows(mine)
+        assert first_rows == [-1, 0, 1]
+        assert [len(js) for js, _ in mine[1:]] == [1] * len(full)
+        leaders = [c.leader for c in all_cosets(code.n, code.ctx.p)]
+        assert full == sorted(j for j in leaders if j > 1)
+        d5 += 1
+    assert d5 == 18
+
+
+def test_first_full_row_that_collides_gives_the_reference_witness():
+    # the full rows j (lo = 0) over every leader >= 1, row 1 among them,
+    # walked with no first block: on every d = 4 code of rank 4 with q <= 32
+    # the first one that collides is j* = 1 = min J, and its first
+    # collision, read with lo = 0 rather than lo = j*, gives the reference
+    # witness and relation
+    checked = 0
+    for code in codes(32, 3):
+        ctx = code.ctx
+        r_mat, pivots = gflin.rref(ctx, expanded_parity_matrix(code))
+        want = reference_result(ctx.p, ctx.s, 3, code.h, 5)
+        if want.value != 4 or len(pivots) < 4:
+            continue
+        leaders = coset_leaders(code.n, ctx.p)
+        j, k, l = distance._walk(ctx, r_mat, leaders[leaders >= 1], distance._COLLISION_CELLS)
+        assert j == 1
+        cols = (0, j, k, l)
+        assert cols == want.witness.cols, (ctx.q, code.h)
+        assert distance._relation(ctx, r_mat, cols) == want.witness.coeffs
+        checked += 1
+    assert checked == 152
 
 
 def test_full_rows_that_collide_are_a_union_of_cosets():
     # for d >= 4, the full row j (every column modulo columns 0 and j)
     # collides iff some {0, j, k, l} is dependent; the reflection and the
     # Frobenius map of the cyclic code make those j a union of p-cyclotomic
-    # cosets, empty exactly when d = 5
+    # cosets, empty exactly when d = 5.  When d = 4 they hold, as observed
+    # rather than proved, every unit of Z_n, and at odd q every j >= 1, as
+    # the paper's quadruple (x, 1/x, 1, -1) on the positions {0, n/2, j, -j}
+    # gives
     checked = 0
     for code in codes(32, 3):
         res = min_distance_by_columns(code)
@@ -349,20 +367,22 @@ def test_full_rows_that_collide_are_a_union_of_cosets():
             members = set(coset.members) - {0}
             assert members <= hit or not members & hit, (ctx.q, code.h, coset)
         assert (not hit) == (res.value == 5)
+        if res.value == 4:
+            assert {j for j in range(1, n) if gcd(j, n) == 1} <= hit
+            assert ctx.q % 2 == 0 or hit == set(range(1, n))
         checked += 1
     assert checked == 170
 
 
-@pytest.mark.parametrize("split", [False, True])
-def test_column_0_is_eliminated_once(monkeypatch, split):
-    # a q = 32, d = 4 code, its stream in one block or cut after the w = 3
-    # row: column 0 is eliminated once, in the one reduction of the matrix,
-    # which carries the shifted rows for the cyclic check and which the
-    # search and the relation read
-    code = build_bch(build_field(2, 5), 3, 2)
+@pytest.mark.parametrize("d5", [False, True])
+def test_column_0_is_eliminated_once(monkeypatch, d5):
+    # a q = 32 code of d = 4, which stops in the first block, or of d = 5,
+    # which walks its coset rows too: column 0 is eliminated once, in the
+    # one reduction of the matrix, which carries the shifted rows for the
+    # cyclic check and which the search and the relation read
+    h, value = (15, 5) if d5 else (2, 4)
+    code = build_bch(build_field(2, 5), 3, h)
     rows, n = expanded_parity_matrix(code).shape
-    if split:
-        monkeypatch.setattr(distance, "_FIRST_ROWS", 2)
     calls = []
     rref = gflin.rref
 
@@ -376,10 +396,12 @@ def test_column_0_is_eliminated_once(monkeypatch, split):
 
     monkeypatch.setattr(gflin, "rref", spy_rref)
     monkeypatch.setattr(gflin, "kernel_basis", no_kernel)
+    blocks = _spy_blocks(monkeypatch)
     res = min_distance_by_columns(code)
-    assert res.value == 4
-    assert res == reference_result(2, 5, 3, 2, 5)
+    assert res.value == value
+    assert res == reference_result(2, 5, 3, h, 5)
     assert calls == [(rows, n)]
+    assert (len(blocks) > 1) == d5  # the d = 5 code keys coset rows
 
 
 def _brute_first_collision(keys, lo):
@@ -450,7 +472,7 @@ def test_first_block_keys_match_suffix_points():
         r_mat, _ = gflin.rref(ctx, expanded_parity_matrix(code))
         rows, n = r_mat.shape
         js = np.arange(-1, min(2, rows - 1))
-        keys = distance._row_keys(ctx, r_mat, js)
+        keys = distance._first_block_keys(ctx, r_mat, js)
         assert keys.shape == (len(js), n)
         for j, row in zip(js, keys.tolist()):
             points = [tuple(linalg.rref(ctx, r_mat[j + 1 :, c][None])[0][0]) for c in range(n)]

@@ -85,6 +85,30 @@ def test_frobenius_involution_and_zero():
         assert ctx.frobenius(int(x)) == int(x)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        "mul(-1, 3)",
+        "mul(9, 1)",
+        "mul(0, -1)",
+        "inv(-1)",
+        "pow(-2, 2)",
+        "neg(-1)",
+        "sub(3, -1)",
+        "div(3, -1)",
+        "frobenius(-1)",
+        "trace(9)",
+        "in_subfield(-3)",
+    ],
+)
+def test_scalar_op_rejects_an_index_outside_the_field(call):
+    # at q = 3 each of these once wrapped a negative index through the log
+    # table, or raised IndexError past q^2 = 9, instead of naming the index
+    ctx = build_field(3, 1)
+    with pytest.raises(ValueError, match=r"outside \[0, 9\)"):
+        eval("ctx." + call)
+
+
 def test_trace_into_subfield():
     ctx = build_field(3, 2)
     assert ctx.trace(0) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -231,6 +232,53 @@ def test_json_to_records_rejects_unknown_column():
     rows[0]["bogus"] = 1
     with pytest.raises(ValueError, match="'bogus'"):
         json_to_records(json.dumps(rows))
+
+
+@pytest.mark.parametrize(
+    "column, cell",
+    [("match", "True"), ("match", "yes"), ("match", "1"), ("q", ""), ("h", "2.0"), ("d", "x")],
+)
+def test_csv_to_records_rejects_a_malformed_cell(column, cell):
+    # a bool is only true or false, an int a decimal integer, and an empty
+    # cell is None only in an optional column (d, not q or h)
+    text = records_to_csv(sweep([2], 1, 1), stable=True)
+    header, first, rest = text.split("\n", 2)
+    names = header.split(",")
+    cells = first.split(",")
+    cells[names.index(column)] = cell
+    with pytest.raises(ValueError, match=f"'{column}'"):
+        csv_to_records("\n".join([header, ",".join(cells), rest]))
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        ("q", "2"),
+        ("q", True),
+        ("q", 2.0),
+        ("q", None),
+        ("match", "yes"),
+        ("match", 1),
+        ("d", "4"),
+        ("finding", None),
+    ],
+)
+def test_json_to_records_rejects_a_malformed_cell(column, value):
+    # each value must be of its column's type, int and bool kept apart, or
+    # null where the column allows it
+    rows = json.loads(records_to_json(sweep([2], 1, 1), stable=True))
+    rows[0][column] = value
+    with pytest.raises(ValueError, match=f"'{column}'"):
+        json_to_records(json.dumps(rows))
+
+
+def test_empty_optional_cells_and_bools_round_trip():
+    # the cells that the parsers must keep: None in an optional int column
+    # and either bool, from CSV and from JSON
+    rec = CodeRecord(p=2, s=1, q=2, h=0, n=3, delta=3, d=None, match=False, d_optimal=True)
+    for back in (csv_to_records(records_to_csv([rec])), json_to_records(records_to_json([rec]))):
+        assert back == [rec]
+        assert back[0].d is None and back[0].match is False and back[0].d_optimal is True
 
 
 def test_stable_mode_excludes_runtime():
@@ -630,6 +678,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_check_theorems_matches_golden_csv():
     text = records_to_csv(check_theorems(32), stable=True)
     assert text.encode() == (GOLDEN / "check_theorems_32.csv").read_bytes()
+
+
+def test_check_theorems_64_stable_digest():
+    # the whole stable rows of every code with q <= 64, pinned by their
+    # sha256: the q <= 32 rows also match the golden file above
+    text = records_to_csv(check_theorems(64), stable=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "c2ef6400b9232c7a7b0fd21a68d217ba418b2eced6d5d62443315d550a5f8159"
 
 
 def test_sweep_cli_matches_golden_csv(tmp_path):
